@@ -6,16 +6,25 @@ A group enters through two pieces of data:
   which coadjoint jump indices and the Pfaffian of the skew form
   B_xi(X, Y) = xi([X, Y]) are computed by plain linear algebra;
 
-* ``CrossSectionDescriptor`` - the analytic package (vanishing slots,
-  Pfaffian, weight h, coordinate substitution) that expresses the squared
-  Hilbert-Schmidt norm of the group transform at a generic cross-section
-  point xi as
+* ``CrossSectionDescriptor`` - expression data (vanishing slots, Pfaffian,
+  weight h, one coordinate substitution per slot, integration bounds)
+  that expresses the squared Hilbert-Schmidt norm of the group transform
+  at a generic cross-section point xi as
 
       hs2(xi) = |h(xi)| * int |F(f o exp)(substitute(xi, t))|^2 dt,
 
   an integral over the vanishing coordinates of the Euclidean transform
   of f in exponential coordinates, evaluated off-grid by direct
   summation (never interpolation).
+
+Every descriptor is expression data read by ``descriptor_from_json``; the
+built-in thread-like groups (n = 3, 4, 5) are JSON files in ``data/``
+loaded through the same path as user files.  The t-integrand is one
+``np.einsum`` per point: each slot's substituted coordinate is evaluated
+on the sparse t mesh, and the t-axes along which that array varies are
+the t-axes its phase factor contracts over.  Substituted coordinates
+outside the dual box are masked to zero; that dropped mass is not yet
+measured or budgeted.
 
 The Plancherel identity integrates hs2 against |Pf(xi)| d(xi) over the
 cross-section; with the built-in thread-like groups (|h| = 1/|Pf|) the
@@ -26,11 +35,10 @@ quadratures and its spectral mass is reported, not hidden.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
-from dataclasses import dataclass, field
-from typing import Callable
+import string
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -41,15 +49,15 @@ from .errors import (
     ZeroFieldError,
 )
 from .euclidean import UncertaintyTerms, _terms, checked_moment
-from .exprs import parse_expression
+from .exprs import Expression, parse_expression
 from .fields import (
     SampledField,
+    _axis_phase,
     axis_band_fraction,
     boundary_decay,
+    gaussian_packet,
     l2_norm_sq,
 )
-from .fields import test_corpus as _base_corpus
-from .fields import gaussian_packet
 
 __all__ = [
     "LieAlgebraData",
@@ -74,6 +82,7 @@ __all__ = [
 
 EPS_SINGULAR = 0.05
 BAND_MASS_BUDGET = 0.005
+_DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -212,97 +221,120 @@ def pfaffian_sq(jump: JumpData) -> float:
 
 @dataclass(frozen=True)
 class CrossSectionDescriptor:
-    """Analytic data of one group's generic cross-section.
+    """Analytic data of one group's generic cross-section, held as expressions.
 
-    ``substitute(xi, t)`` receives the embedded functional (length n, zeros
-    at vanishing slots) and one broadcastable array per vanishing slot (in
-    ascending slot order) and returns the n coordinate arrays where the
-    Euclidean transform is evaluated.  All callables must broadcast over
-    numpy arrays.  ``bounds`` maps each non-vanishing slot to a tuple of
-    (lo, hi) interval pieces of the integration box; the pieces already
-    exclude the singular band of the built-ins.
+    ``pfaffian_expr`` and ``h_expr`` are expressions in xi1..xin;
+    ``substitute_exprs`` holds one expression per slot 1..n in xi1..xin and
+    t1..tk, where t_a fills the a-th vanishing slot (ascending).  The
+    methods ``pfaffian(xi)``, ``h(xi)`` and ``substitute(xi, t)`` evaluate
+    them on the embedded functional (length n, zeros at vanishing slots),
+    which may carry trailing point axes since expressions broadcast.
+
+    The shape of each substituted coordinate decides which t-axes its
+    phase factor contracts over, so a coordinate constant in t should not
+    be broadcast against t (correct, but slower).  ``bounds`` maps each
+    non-vanishing slot to a tuple of (lo, hi) interval pieces of the
+    integration box; the pieces already exclude the singular band.
+    Substituted coordinates outside the dual box are masked to zero, not
+    measured or budgeted.
     """
 
     n: int
     vanishing: tuple[int, ...]
-    pfaffian: Callable
-    h: Callable
-    substitute: Callable
+    pfaffian_expr: Expression
+    h_expr: Expression
+    substitute_exprs: tuple[Expression, ...]
     bounds: dict[int, tuple[tuple[float, float], ...]]
     singular_axis: int | None = None
     label: str = "descriptor"
-    pfaffian_source: str | None = None
-    h_source: str | None = None
-    substitute_source: dict[int, str] | None = field(default=None)
 
     def __post_init__(self):
         v = tuple(sorted(int(j) for j in self.vanishing))
         if not v or v[0] < 1 or v[-1] > self.n or len(set(v)) != len(v):
             raise ValueError(f"vanishing slots {self.vanishing} invalid for n={self.n}")
         object.__setattr__(self, "vanishing", v)
-        for slot in self.cross_slots:
-            if slot not in self.bounds:
-                raise ValueError(f"missing integration bounds for slot {slot}")
+        if set(self.bounds) != set(self.cross_slots):
+            raise ValueError(
+                f"bounds: keys {sorted(self.bounds)} must be the cross-section slots "
+                f"{list(self.cross_slots)}"
+            )
+        if self.singular_axis is not None and self.singular_axis not in self.cross_slots:
+            raise ValueError(
+                f"singular_axis: {self.singular_axis!r} is not a cross-section slot "
+                f"{list(self.cross_slots)}"
+            )
+        if len(self.substitute_exprs) != self.n:
+            raise ValueError(
+                f"substitute: expected {self.n} expressions, got {len(self.substitute_exprs)}"
+            )
+        xi_names = {f"xi{i}" for i in range(1, self.n + 1)}
+        t_names = {f"t{a}" for a in range(1, len(v) + 1)}
+        keyed = [("pfaffian", self.pfaffian_expr, xi_names), ("h", self.h_expr, xi_names)]
+        keyed += [
+            (f"substitute {slot}", expr, xi_names | t_names)
+            for slot, expr in enumerate(self.substitute_exprs, 1)
+        ]
+        for key, expr, allowed in keyed:
+            unknown = expr.variable_names - allowed
+            if unknown:
+                raise ValueError(f"{key}: unknown variables {sorted(unknown)} in {expr.source!r}")
 
     @property
     def cross_slots(self) -> tuple[int, ...]:
         return tuple(j for j in range(1, self.n + 1) if j not in self.vanishing)
 
     def embed(self, xi_cross) -> np.ndarray:
-        """Full functional in R^n from cross-section coordinates."""
+        """Full functional in R^n from cross-section coordinates.
+
+        ``xi_cross`` of shape (k,) gives shape (n,); stacked points of shape
+        (P, k) give shape (n, P), one row per slot.
+        """
         xi_cross = np.atleast_1d(np.asarray(xi_cross, dtype=float))
-        if xi_cross.shape != (len(self.cross_slots),):
+        if xi_cross.ndim > 2 or xi_cross.shape[-1] != len(self.cross_slots):
             raise ValueError(
                 f"expected {len(self.cross_slots)} cross-section coordinates, "
                 f"got {xi_cross.shape}"
             )
-        xi = np.zeros(self.n)
-        for value, slot in zip(xi_cross, self.cross_slots):
-            xi[slot - 1] = value
+        xi = np.zeros((self.n,) + xi_cross.shape[:-1])
+        xi[np.array(self.cross_slots) - 1] = np.moveaxis(xi_cross, -1, 0)
         return xi
 
+    def _env(self, xi, t=()) -> dict:
+        env = {f"xi{i + 1}": xi[i] for i in range(self.n)}
+        env.update((f"t{a + 1}", arr) for a, arr in enumerate(t))
+        return env
 
-def _threadlike_substitute(n: int):
-    def substitute(xi, t):
-        t1, t2 = t
-        coords = [None] * n
-        coords[0] = xi[0] + 0.0 * t1  # broadcast to the t1 shape
-        coords[1] = t1
-        coords[n - 1] = t2
-        for j in range(3, n):  # 1-based slots 3..n-1
-            q = 0.0 * t1
-            for k in range(1, j):
-                q = q + (t1**k) * xi[j - k - 1] / (math.factorial(k) * xi[0] ** k)
-            coords[j - 1] = xi[j - 1] + q
-        return coords
+    def pfaffian(self, xi) -> np.ndarray:
+        """Pf(xi), shaped like the point axes of xi."""
+        return np.broadcast_to(self.pfaffian_expr(self._env(xi)), np.shape(xi)[1:])
 
-    return substitute
+    def h(self, xi) -> np.ndarray:
+        """Weight h(xi), shaped like the point axes of xi."""
+        return np.broadcast_to(self.h_expr(self._env(xi)), np.shape(xi)[1:])
+
+    def substitute(self, xi, t) -> list:
+        """The n coordinates where the Euclidean transform is evaluated.
+
+        ``t`` holds one broadcastable array per vanishing slot; each
+        coordinate keeps the shape its expression gives it.
+        """
+        env = self._env(xi, t)
+        return [expr(env) for expr in self.substitute_exprs]
 
 
-def threadlike_descriptor(
-    n: int, xi1_max: float = 3.2, other_max: float = 2.4, eps: float = EPS_SINGULAR
-) -> CrossSectionDescriptor:
+def threadlike_descriptor(n: int) -> CrossSectionDescriptor:
     """Built-in thread-like cross-section for n in {3, 4, 5}.
 
-    Vanishing slots (2, n); Pf(xi) = xi_1; h = 1/|xi_1|; the substitution
-    inserts t at slot 2, s at slot n and shifts slot j by
-    Q_j = sum_{k>=1} t^k xi_{j-k} / (k! xi_1^k) with xi_2 = 0.
+    Loaded from the shipped ``data/threadlike{n}.json`` through the same
+    loader as user files.  Vanishing slots (2, n); Pf(xi) = xi_1;
+    h = 1/|xi_1|; the substitution inserts t1 at slot 2, t2 at slot n and
+    shifts slot j by Q_j = sum_{k>=1} t1^k xi_{j-k} / (k! xi_1^k) with
+    xi_2 = 0.
     """
     if n not in (3, 4, 5):
         raise ValueError(f"thread-like descriptors are built in for n in {{3,4,5}}, got {n}")
-    bounds = {1: ((-xi1_max, -eps), (eps, xi1_max))}
-    for j in range(3, n):
-        bounds[j] = ((-other_max, other_max),)
-    return CrossSectionDescriptor(
-        n=n,
-        vanishing=(2, n),
-        pfaffian=lambda xi: xi[0],
-        h=lambda xi: 1.0 / abs(xi[0]),
-        substitute=_threadlike_substitute(n),
-        bounds=bounds,
-        singular_axis=1,
-        label=f"threadlike{n}",
-    )
+    desc, _ = load_descriptor_file(_DATA_DIR / f"threadlike{n}.json")
+    return desc
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +343,14 @@ def threadlike_descriptor(
 
 
 class _HsEvaluator:
-    """Evaluates hs2(xi) over a fixed t-quadrature by axis-wise contraction.
+    """Evaluates the t-integral of hs2(xi) with one einsum per point.
 
-    The substitution couples vanishing-slot variables to shifted slots; the
-    planner below inspects which t axes each slot coordinate depends on
-    (via broadcast shapes), loops over axes feeding several slots, and
-    contracts everything else as phase vectors/matrices.  Slots whose
-    coordinates do not involve the looped axes are contracted once per
-    distinct base key, which makes sweeps ordered by the leading
-    cross-section coordinate cheap.
+    Slot i's substituted coordinate, evaluated on the sparse t mesh, varies
+    along some of the t-axes; its phase factor exp(-2 pi i c x_i) carries
+    exactly those axes plus grid axis i, so the t-axes shared between slots
+    become batch indices of the contraction.  Subscripts and the greedy
+    contraction path depend only on those shapes and are fixed at the
+    first point.
     """
 
     def __init__(self, f: SampledField, desc: CrossSectionDescriptor, t_nodes: int = 32):
@@ -330,180 +361,50 @@ class _HsEvaluator:
         self.f = f
         self.desc = desc
         self.W = np.asarray(f.grid.dual_half_extents)
-        self.n_axes = len(desc.vanishing)
+        n_axes = len(desc.vanishing)
         x, w = np.polynomial.legendre.leggauss(t_nodes)
-        self.t_nodes, self.t_weights, self.t_sparse = [], [], []
+        self.t_sparse = []
+        self.t_weights = np.ones((t_nodes,) * n_axes)
         for a, slot in enumerate(desc.vanishing):
             T = self.W[slot - 1] * (1.0 - 1e-12)
-            nodes = T * x
-            shape = [1] * self.n_axes
+            shape = [1] * n_axes
             shape[a] = t_nodes
-            self.t_nodes.append(nodes)
-            self.t_weights.append(T * w)
-            self.t_sparse.append(nodes.reshape(shape))
-        self._plan = None
-        self._base_key = None
-        self._base_tensor = None
-        self._base_axes = None
-
-    # -- planning ----------------------------------------------------------
-
-    def _deps_of(self, coords) -> list[frozenset[int]]:
-        deps = []
-        for c in coords:
-            shape = np.shape(c)
-            dep = frozenset(
-                a for a in range(self.n_axes) if len(shape) > a and shape[a - self.n_axes] > 1
-            )
-            deps.append(dep)
-        return deps
-
-    def _make_plan(self, coords):
-        deps = self._deps_of(coords)
-        looped: set[int] = set()
-        while True:
-            remaining = [d - looped for d in deps]
-            axis_slots = {a: [] for a in range(self.n_axes) if a not in looped}
-            for i, d in enumerate(remaining):
-                for a in d:
-                    axis_slots[a].append(i)
-            offenders = [a for a, slots in axis_slots.items() if len(slots) > 1]
-            offenders += [
-                a
-                for i, d in enumerate(remaining)
-                if len(d) > 1
-                for a in sorted(d)[:-1]
-                if a not in offenders
-            ]
-            if not offenders:
-                break
-            looped.add(sorted(offenders, key=lambda a: -len(axis_slots.get(a, [])))[0])
-        free_axis = {}
-        for i, d in enumerate(remaining):
-            if d:
-                free_axis[i] = next(iter(d))
-        base_slots = [i for i in range(self.desc.n) if not (deps[i] & looped)]
-        loop_slots = [i for i in range(self.desc.n) if deps[i] & looped]
-        return {
-            "deps": deps,
-            "looped": tuple(sorted(looped)),
-            "free_axis": free_axis,
-            "base_slots": base_slots,
-            "loop_slots": loop_slots,
-        }
-
-    # -- phase helpers -------------------------------------------------------
-
-    def _vector(self, slot_idx: int, value: float) -> np.ndarray | None:
-        if abs(value) > self.W[slot_idx]:
-            return None
-        x = self.f.grid.axis(slot_idx)
-        return np.exp(-2j * np.pi * value * x)
-
-    def _matrix(self, slot_idx: int, values: np.ndarray) -> np.ndarray:
-        x = self.f.grid.axis(slot_idx)
-        mat = np.exp(-2j * np.pi * np.outer(values, x))
-        mat[np.abs(values) > self.W[slot_idx]] = 0.0  # out-of-box rows carry no mass
-        return mat
-
-    # -- evaluation ----------------------------------------------------------
-
-    def _base(self, coords, plan):
-        key_parts = []
-        for i in plan["base_slots"]:
-            key_parts.append(np.asarray(coords[i]).tobytes())
-        key = b"".join(key_parts)
-        if key == self._base_key:
-            return self._base_tensor, self._base_axes
-        T = self.f.values
-        present = list(range(self.desc.n))
-        appended: list[int] = []
-        for i in plan["base_slots"]:
-            pos = present.index(i)
-            if i in plan["free_axis"]:
-                a = plan["free_axis"][i]
-                vals = np.ravel(coords[i]) + np.zeros(len(self.t_nodes[a]))
-                T = np.tensordot(T, self._matrix(i, vals), axes=(pos, 1))
-                appended.append(a)
-            else:
-                vec = self._vector(i, float(np.ravel(coords[i])[0]))
-                if vec is None:
-                    T = None
-                    break
-                T = np.tensordot(T, vec, axes=(pos, 0))
-            present.pop(pos)
-        self._base_key = key
-        self._base_tensor = (T, tuple(present))
-        self._base_axes = appended
-        return self._base_tensor, appended
+            self.t_sparse.append((T * x).reshape(shape))
+            self.t_weights = self.t_weights * (T * w).reshape(shape)
+        self._einsum = None  # (subscripts, contraction path, output shape)
 
     def integrand(self, xi_cross) -> np.ndarray:
         """|F(f o exp)(substitute(xi, t))|^2 on the t tensor grid."""
-        xi = self.desc.embed(xi_cross)
-        coords = self.desc.substitute(xi, self.t_sparse)
-        if self._plan is None:
-            self._plan = self._make_plan(coords)
-        plan = self._plan
-        (base, present), base_appended = self._base(coords, plan)
-        shape = tuple(len(nodes) for nodes in self.t_nodes)
-        out = np.zeros(shape, dtype=np.complex128)
-        if base is None:
-            return np.zeros(shape)
-        looped = plan["looped"]
-        loop_ranges = [range(len(self.t_nodes[a])) for a in looped]
-        for combo in itertools.product(*loop_ranges):
-            T = base
-            cur = list(present)
-            appended = list(base_appended)
-            dead = False
-            for i in plan["loop_slots"]:
-                c = np.asarray(coords[i])
-                idx = [0] * self.n_axes
-                for a, k in zip(looped, combo):
-                    if c.ndim > a and c.shape[a - self.n_axes] > 1:
-                        idx[a] = k
-                pos = cur.index(i)
-                if i in plan["free_axis"]:
-                    a_free = plan["free_axis"][i]
-                    sel = [slice(None) if a == a_free else idx[a] for a in range(self.n_axes)]
-                    vals = np.broadcast_to(c, self._mesh_shape())[tuple(sel)]
-                    T = np.tensordot(T, self._matrix(i, np.ravel(vals)), axes=(pos, 1))
-                    appended.append(a_free)
-                else:
-                    sel = [min(idx[a], (c.shape[a - self.n_axes] - 1) if c.ndim > a else 0)
-                           for a in range(self.n_axes)]
-                    val = float(np.broadcast_to(c, self._mesh_shape())[tuple(sel)])
-                    vec = self._vector(i, val)
-                    if vec is None:
-                        dead = True
-                        break
-                    T = np.tensordot(T, vec, axes=(pos, 0))
-                cur.pop(pos)
-            if dead:
-                continue
-            block = np.transpose(np.atleast_1d(T), np.argsort(appended)) if appended else T
-            sel = [slice(None)] * self.n_axes
-            for a, k in zip(looped, combo):
-                sel[a] = k
-            out[tuple(sel)] = block
-        return np.abs(out) ** 2 * self.f.grid.cell_volume**2
+        mesh = self.t_weights.shape
+        phases, slot_axes = [], []
+        for i, c in enumerate(self.desc.substitute(self.desc.embed(xi_cross), self.t_sparse)):
+            c = np.asarray(c, dtype=float)
+            axes = [a for a, m in enumerate((1,) * (len(mesh) - c.ndim) + c.shape) if m > 1]
+            c = c.reshape([mesh[a] for a in axes])  # keep only the t-axes c varies along
+            phase = _axis_phase(c.ravel(), self.f.grid.axis(i), -1.0).reshape(c.shape + (-1,))
+            phase[np.abs(c) > self.W[i]] = 0.0  # outside the dual box: masked, not budgeted
+            phases.append(phase)
+            slot_axes.append(axes)
+        if self._einsum is None:
+            grid = string.ascii_lowercase[: self.desc.n]
+            t_letters = string.ascii_uppercase
+            terms = [grid] + [
+                "".join(t_letters[a] for a in axes) + grid[i]
+                for i, axes in enumerate(slot_axes)
+            ]
+            present = sorted(set().union(*slot_axes))
+            subscripts = ",".join(terms) + "->" + "".join(t_letters[a] for a in present)
+            path = np.einsum_path(subscripts, self.f.values, *phases, optimize="greedy")[0]
+            shape = [mesh[a] if a in present else 1 for a in range(len(mesh))]
+            self._einsum = (subscripts, path, shape)
+        subscripts, path, shape = self._einsum
+        amp = np.einsum(subscripts, self.f.values, *phases, optimize=path)
+        dens = np.abs(amp) ** 2 * self.f.grid.cell_volume**2
+        return np.broadcast_to(dens.reshape(shape), mesh)
 
-    def _mesh_shape(self):
-        return tuple(len(n) for n in self.t_nodes)
-
-    def hs_norm_sq(self, xi_cross, eps_sing: float = EPS_SINGULAR) -> float:
-        xi = self.desc.embed(xi_cross)
-        pf = abs(float(self.desc.pfaffian(xi)))
-        if pf <= eps_sing:
-            raise SingularBandError(
-                f"|Pf(xi)| = {pf:.3e} inside the excluded band (eps = {eps_sing})"
-            )
-        dens = self.integrand(xi_cross)
-        for a in range(self.n_axes):
-            shape = [1] * self.n_axes
-            shape[a] = dens.shape[a]
-            dens = dens * self.t_weights[a].reshape(shape)
-        return abs(float(self.desc.h(xi))) * float(dens.sum())
+    def t_integral(self, xi_cross) -> float:
+        """int |F(f o exp)(substitute(xi, t))|^2 dt by the tensor Gauss rule."""
+        return float(np.sum(self.integrand(xi_cross) * self.t_weights))
 
 
 def nilpotent_hs_norm_sq(
@@ -514,7 +415,13 @@ def nilpotent_hs_norm_sq(
     eps_sing: float = EPS_SINGULAR,
 ) -> float:
     """hs2 at one cross-section point (see module docstring)."""
-    return _HsEvaluator(f, desc, t_nodes).hs_norm_sq(xi_cross, eps_sing)
+    xi = desc.embed(xi_cross)
+    pf = abs(float(desc.pfaffian(xi)))
+    if pf <= eps_sing:
+        raise SingularBandError(
+            f"|Pf(xi)| = {pf:.3e} inside the excluded band (eps = {eps_sing})"
+        )
+    return abs(float(desc.h(xi))) * _HsEvaluator(f, desc, t_nodes).t_integral(xi_cross)
 
 
 # ---------------------------------------------------------------------------
@@ -552,26 +459,20 @@ def nilpotent_w_profile(
 ):
     """(points, weights, hs2 values) over the cross-section quadrature grid.
 
-    Points iterate the tensor product of per-coordinate Gauss-Legendre
-    nodes with the leading coordinate outermost, which lets the evaluator
-    reuse its base contraction across the inner sweep.  Nodes with
-    |Pf(xi)| <= eps_sing receive weight zero.
+    Points are the tensor product of per-coordinate Gauss-Legendre nodes,
+    leading coordinate outermost, stacked as a (P, k) array.  Nodes with
+    |Pf(xi)| <= eps_sing are dropped.
     """
     evaluator = _HsEvaluator(f, desc, t_nodes)
     per_coord = _w_nodes(desc, f, w_nodes)
-    node_lists = [nc for nc, _ in per_coord]
-    weight_lists = [wc for _, wc in per_coord]
-    points, weights, values = [], [], []
-    for combo in itertools.product(*(range(len(nc)) for nc in node_lists)):
-        xi_cross = np.array([node_lists[i][k] for i, k in enumerate(combo)])
-        weight = float(np.prod([weight_lists[i][k] for i, k in enumerate(combo)]))
-        xi = desc.embed(xi_cross)
-        if abs(float(desc.pfaffian(xi))) <= eps_sing:
-            continue
-        points.append(xi_cross)
-        weights.append(weight)
-        values.append(evaluator.hs_norm_sq(xi_cross, eps_sing))
-    return np.array(points), np.array(weights), np.array(values)
+    k = len(per_coord)
+    points = np.stack(np.meshgrid(*(nc for nc, _ in per_coord), indexing="ij"), axis=-1)
+    weights = np.stack(np.meshgrid(*(wc for _, wc in per_coord), indexing="ij"), axis=-1)
+    points, weights = points.reshape(-1, k), np.prod(weights.reshape(-1, k), axis=1)
+    xi = desc.embed(points)
+    keep = np.abs(desc.pfaffian(xi)) > eps_sing
+    integrals = np.array([evaluator.t_integral(p) for p in points[keep]])
+    return points[keep], weights[keep], np.abs(desc.h(xi[:, keep])) * integrals
 
 
 def singular_band_fraction(
@@ -617,7 +518,7 @@ def nilpotent_plancherel_ratio(
     if profile is None:
         profile = nilpotent_w_profile(f, desc, w_nodes, t_nodes, eps_sing)
     points, weights, values = profile
-    pf = np.array([abs(float(desc.pfaffian(desc.embed(p)))) for p in points])
+    pf = np.abs(desc.pfaffian(desc.embed(points)))
     return float(np.sum(weights * values * pf)) / norm_sq
 
 
@@ -642,13 +543,11 @@ def nilpotent_uncertainty(
     if profile is None:
         profile = nilpotent_w_profile(f, desc, w_nodes, t_nodes, eps_sing)
     points, weights, values = profile
-    total = 0.0
-    for xi_cross, w, hs in zip(points, weights, values):
-        xi = desc.embed(xi_cross)
-        pf = abs(float(desc.pfaffian(xi)))
-        habs = abs(float(desc.h(xi)))
-        r2b = float(np.sum(xi**2)) ** spec.b
-        total += w * r2b * hs / (habs**spec.b * pf ** (spec.b - 1.0))
+    xi = desc.embed(points)
+    pf = np.abs(desc.pfaffian(xi))
+    habs = np.abs(desc.h(xi))
+    r2b = np.sum(xi**2, axis=0) ** spec.b
+    total = float(np.sum(weights * r2b * values / (habs**spec.b * pf ** (spec.b - 1.0))))
     momentum = total ** (1.0 / (2.0 * spec.b))
     lhs = norm_sq ** (0.5 * (1.0 / spec.a + 1.0 / spec.b)) / (4.0 * np.pi)
     return _terms(lhs, position, momentum)
@@ -706,50 +605,30 @@ def nilpotent_corpus(grid, seed: int, count: int) -> list[SampledField]:
 # ---------------------------------------------------------------------------
 
 
-def _expr_env(desc_n: int, xi: np.ndarray, t=None) -> dict:
-    env = {f"xi{i + 1}": xi[i] for i in range(desc_n)}
-    if t is not None:
-        for a, arr in enumerate(t):
-            env[f"t{a + 1}"] = arr
-    return env
-
-
 def descriptor_from_json(data: dict) -> tuple[CrossSectionDescriptor, LieAlgebraData | None]:
     """Build a descriptor (and optional algebra) from its JSON dict.
 
-    Expressions use variables xi1..xin and t1..t_{n-k} (t_k fills the k-th
+    Expressions use variables xi1..xin and t1..tk (t_a fills the a-th
     vanishing slot, ascending).  Substitute entries may be omitted: a
     vanishing slot defaults to its t variable, any other slot to its xi.
+    Raises ValueError naming the key on slots or variables that do not
+    fit the descriptor.
     """
     n = int(data["n"])
     vanishing = tuple(sorted(int(j) for j in data["vanishing"]))
-    pf_expr = parse_expression(str(data["pfaffian"]))
-    h_expr = parse_expression(str(data["h"]))
-    sub_sources: dict[int, str] = {}
-    for slot in range(1, n + 1):
-        given = data.get("substitute", {}).get(str(slot))
-        if given is None:
-            if slot in vanishing:
-                given = f"t{vanishing.index(slot) + 1}"
-            else:
-                given = f"xi{slot}"
-        sub_sources[slot] = str(given)
-    sub_exprs = {slot: parse_expression(src) for slot, src in sub_sources.items()}
-
-    def pfaffian(xi):
-        return pf_expr(_expr_env(n, xi))
-
-    def h(xi):
-        return h_expr(_expr_env(n, xi))
-
-    def substitute(xi, t):
-        env = _expr_env(n, xi, t)
-        zero = sum(0.0 * np.asarray(arr) for arr in t)
-        return [sub_exprs[slot](env) + zero * 0 for slot in range(1, n + 1)]
-
-    bounds = {}
-    for slot_str, pieces in data["bounds"].items():
-        bounds[int(slot_str)] = tuple((float(lo), float(hi)) for lo, hi in pieces)
+    given = data.get("substitute", {})
+    stray = sorted(set(given) - {str(slot) for slot in range(1, n + 1)})
+    if stray:
+        raise ValueError(f"substitute: keys {stray} are not slots 1..{n}")
+    default = {slot: f"xi{slot}" for slot in range(1, n + 1)}
+    default.update({slot: f"t{a}" for a, slot in enumerate(vanishing, 1)})
+    substitute = tuple(
+        parse_expression(str(given.get(str(slot), default[slot]))) for slot in range(1, n + 1)
+    )
+    bounds = {
+        int(slot): tuple((float(lo), float(hi)) for lo, hi in pieces)
+        for slot, pieces in data["bounds"].items()
+    }
     algebra = None
     if "structure_constants" in data:
         c = np.zeros((n, n, n))
@@ -760,31 +639,26 @@ def descriptor_from_json(data: dict) -> tuple[CrossSectionDescriptor, LieAlgebra
     desc = CrossSectionDescriptor(
         n=n,
         vanishing=vanishing,
-        pfaffian=pfaffian,
-        h=h,
-        substitute=substitute,
+        pfaffian_expr=parse_expression(str(data["pfaffian"])),
+        h_expr=parse_expression(str(data["h"])),
+        substitute_exprs=substitute,
         bounds=bounds,
         singular_axis=data.get("singular_axis"),
         label=str(data.get("name", "descriptor")),
-        pfaffian_source=str(data["pfaffian"]),
-        h_source=str(data["h"]),
-        substitute_source=sub_sources,
     )
     return desc, algebra
 
 
 def descriptor_to_json(desc: CrossSectionDescriptor) -> dict:
-    """JSON dict of an expression-backed descriptor (round-trips files)."""
-    if desc.pfaffian_source is None:
-        raise ValueError("descriptor was not built from expressions")
+    """JSON dict of a descriptor (round-trips files, less structure constants)."""
     return {
         "schema": 1,
         "name": desc.label,
         "n": desc.n,
         "vanishing": list(desc.vanishing),
-        "pfaffian": desc.pfaffian_source,
-        "h": desc.h_source,
-        "substitute": {str(k): v for k, v in desc.substitute_source.items()},
+        "pfaffian": desc.pfaffian_expr.source,
+        "h": desc.h_expr.source,
+        "substitute": {str(slot): e.source for slot, e in enumerate(desc.substitute_exprs, 1)},
         "bounds": {str(k): [list(p) for p in v] for k, v in desc.bounds.items()},
         "singular_axis": desc.singular_axis,
     }
