@@ -215,7 +215,7 @@ def gaussian_packet(
             fac = fac * np.polynomial.hermite.hermval(np.sqrt(2 * np.pi) * u, coeffs)
         shape = [1] * d
         shape[i] = grid.counts[i]
-        vals = vals * fac.reshape(shape)
+        vals *= fac.reshape(shape)
     return SampledField(grid, vals)
 
 

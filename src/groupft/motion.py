@@ -14,7 +14,13 @@ in the circle-character basis e_m, truncated to |m|, |m'| <= M, with
 The u-integral in the matrix element is evaluated on the circle grid (a
 plain DFT of the sampled plane wave), never through closed-form Bessel
 functions; the Jacobi-Anger Bessel identity is reserved for independent
-oracle tests.
+oracle tests.  The plane wave factorises as
+exp(-i lambda z1 cos g) * exp(i lambda z2 sin g), so ``mn_ft`` and the
+HS-profiles share one path that, per lambda, builds only those two small
+factors and contracts the theta-coefficient rows against them: one matmul
+over z2, a reduction over z1 and one FFT over the circle grid.  The full
+z1 x z2 x circle plane wave is never formed, and profiles stack the active
+rows of all their fields so the factors are built once per lambda.
 
 The formulas keep the general-n shape (weights lambda^{n-1}, constant
 c_n = 2/(2^{n/2} Gamma(n/2))) specialised to n = 2, where the small
@@ -176,22 +182,6 @@ def make_lambda_grid(lam_max: float, panels: int = 8, nodes_per_panel: int = 12)
     return LambdaGrid(np.concatenate(nodes), np.concatenate(weights), lam_max)
 
 
-def _circle_mode_amplitudes(grid: Grid, lam: float, n_theta: int, sign: float) -> np.ndarray:
-    """DFT over the circle grid of the sampled plane wave.
-
-    Returns A with A[..., q % n_theta] =
-        (1/n_theta) sum_j exp(sign*i*lam*(z1 cos g_j - z2 sin g_j)) exp(-i q g_j);
-    modes |q| >= n_theta alias onto their residue, which is the honest
-    output of circle-grid quadrature.
-    """
-    gam = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    z1 = grid.axis(0)[:, None, None]
-    z2 = grid.axis(1)[None, :, None]
-    phase = z1 * np.cos(gam)[None, None, :] - z2 * np.sin(gam)[None, None, :]
-    wave = np.exp(sign * 1j * lam * phase)
-    return np.fft.fft(wave, axis=-1) / n_theta
-
-
 def pi_matrix_element(lam: float, z, m: int, n: int, n_theta: int = 128) -> complex:
     """<pi_lambda(z, e) e_m, e_n> with the u-integral on the circle grid."""
     if lam <= 0:
@@ -222,29 +212,46 @@ def _check_truncation(f: MotionField, lam: float, m_max: int) -> None:
         )
 
 
-def _row_transform(
-    coef: np.ndarray, rows: np.ndarray, grid: Grid, lam: float, n_theta: int, m_max: int
+def _operator_rows(
+    grid: Grid, n_theta: int, coef: np.ndarray, rows: np.ndarray, lambdas, m_max: int
 ) -> np.ndarray:
-    """Matrix rows F[m, :] for the row indices in ``rows`` (values of m)."""
-    amps = _circle_mode_amplitudes(grid, lam, n_theta, sign=-1.0)
-    q = np.arange(-2 * m_max, 2 * m_max + 1)
-    kernel = amps.reshape(-1, n_theta)[:, q % n_theta]  # (Nz, 4M+1)
-    sel = coef.reshape(-1, coef.shape[-1])[:, rows + m_max]  # (Nz, nrows)
-    d = sel.T @ kernel * grid.cell_volume  # D[m, q] = sum_z c_m A_q h^2
+    """Matrix rows F[m, :] at every lambda for a stack of (field, m) rows.
+
+    ``coef`` holds the theta coefficient c_m(z) of each stacked row, shape
+    (R, N1, N2), and ``rows`` its value of m.  Returns out[l, r, m'] =
+    D_r(lambda_l)[m - m'] with
+
+        D_r[q] = h^2/n_theta sum_j exp(-i q g_j) sum_z c_m(z)
+                 exp(-i lambda z1 cos g_j) exp(i lambda z2 sin g_j),
+
+    the circle-grid DFT of the sampled plane wave exp(-i lambda <u^{-1} e_1, z>)
+    against c_m; modes |q| >= n_theta alias onto their residue, which is the
+    honest output of circle-grid quadrature.  Per lambda the plane wave
+    enters through its two small factors (N1 x n_theta and N2 x n_theta):
+    one matmul over z2, a reduction over z1, one FFT over the circle grid.
+    """
+    gam = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    z1, z2 = grid.axis(0), grid.axis(1)
+    flat = coef.reshape(-1, z2.size)  # (R * N1, N2)
     cols = np.arange(-m_max, m_max + 1)
-    out = np.empty((rows.size, cols.size), dtype=np.complex128)
-    for i, m in enumerate(rows):
-        out[i] = d[i, (m - cols) + 2 * m_max]  # F[m, m'] = D[m, m - m']
-    return out
+    q = (rows[:, None] - cols[None, :]) % n_theta  # F[m, m'] = D[m - m']
+    out = np.empty((len(lambdas), rows.size, cols.size), dtype=np.complex128)
+    for i, lam in enumerate(lambdas):
+        wave1 = np.exp(-1j * lam * np.outer(z1, np.cos(gam)))
+        wave2 = np.exp(1j * lam * np.outer(z2, np.sin(gam)))
+        partial = (flat @ wave2).reshape(rows.size, z1.size, n_theta)
+        d = np.fft.fft(np.einsum("rag,ag->rg", partial, wave1), axis=-1)
+        out[i] = np.take_along_axis(d, q, axis=1)
+    return out * (grid.cell_volume / n_theta)
 
 
 def mn_ft(f: MotionField, lam: float, m_max: int) -> OperatorMatrix:
     """Transform operator at one lambda, truncated to modes |m| <= m_max."""
     _check_truncation(f, lam, m_max)
-    coef = _theta_coefficients(f, m_max)
+    coef = np.moveaxis(_theta_coefficients(f, m_max), -1, 0)
     rows = np.arange(-m_max, m_max + 1)
-    mat = _row_transform(coef, rows, f.grid, lam, f.theta_count, m_max)
-    return OperatorMatrix(lam, m_max, mat)
+    mat = _operator_rows(f.grid, f.theta_count, coef, rows, [lam], m_max)
+    return OperatorMatrix(lam, m_max, mat[0])
 
 
 def mn_hs_norm_sq(op: OperatorMatrix) -> float:
@@ -263,52 +270,51 @@ def _active_rows(coef: np.ndarray, m_max: int) -> np.ndarray:
     return np.arange(-m_max, m_max + 1)[keep]
 
 
+def _hs_profiles(fields: list, lambdas: np.ndarray, m_max: int) -> np.ndarray:
+    """HS-norm profiles, shape (fields, lambdas), through one stacked row set.
+
+    The active rows of all fields are stacked, so each lambda's plane-wave
+    factors are built once and shared across fields.
+    """
+    grid, n_theta = fields[0].grid, fields[0].theta_count
+    coefs, rowsets = [], []
+    for j, f in enumerate(fields):
+        if f.grid != grid or f.theta_count != n_theta:
+            raise ValueError(
+                f"fields[{j}] lives on {f.grid} x {f.theta_count} circle samples, "
+                f"fields[0] on {grid} x {n_theta}"
+            )
+        _check_truncation(f, float(lambdas.min()), m_max)
+        coef = _theta_coefficients(f, m_max)
+        rows = _active_rows(coef, m_max)
+        coefs.append(np.moveaxis(coef[..., rows + m_max], -1, 0))
+        rowsets.append(rows)
+    rows = np.concatenate(rowsets)
+    if rows.size == 0:
+        return np.zeros((len(fields), lambdas.size))
+    mats = _operator_rows(grid, n_theta, np.concatenate(coefs), rows, lambdas, m_max)
+    hs = np.sum(np.abs(mats) ** 2, axis=2)  # (lambdas, stacked rows)
+    owner = np.repeat(np.arange(len(fields)), [r.size for r in rowsets])
+    return (owner == np.arange(len(fields))[:, None]) @ hs.T
+
+
 def mn_hs_profile(f: MotionField, lambdas, m_max: int) -> np.ndarray:
     """||fhat(lambda)||_HS^2 over a list of lambda values."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    _check_truncation(f, float(lambdas.min()), m_max)
-    coef = _theta_coefficients(f, m_max)
-    rows = _active_rows(coef, m_max)
-    if rows.size == 0:
-        return np.zeros(lambdas.size)
-    out = np.empty(lambdas.size)
-    for i, lam in enumerate(lambdas):
-        mat = _row_transform(coef, rows, f.grid, lam, f.theta_count, m_max)
-        out[i] = float(np.sum(np.abs(mat) ** 2))
-    return out
+    return _hs_profiles([f], np.asarray(lambdas, dtype=float), m_max)[0]
 
 
 def mn_hs_profiles(fields, lambdas, m_max: int) -> np.ndarray:
-    """HS-norm profiles for several fields sharing one lambda grid.
+    """HS-norm profiles for several fields sharing one grid and lambda list.
 
-    The plane-wave kernel per lambda is built once and reused across
-    fields, which is the dominant saving in corpus sweeps.
+    The plane-wave factors per lambda are built once and shared across
+    fields, which is the dominant saving in corpus sweeps.  Raises
+    ValueError for an empty field list or for fields whose spatial grid or
+    circle sample count differs from the first field's.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
     fields = list(fields)
-    coefs, rowsets = [], []
-    for f in fields:
-        _check_truncation(f, float(lambdas.min()), m_max)
-        c = _theta_coefficients(f, m_max)
-        coefs.append(c.reshape(-1, c.shape[-1]))
-        rowsets.append(_active_rows(c, m_max))
-    grid = fields[0].grid
-    n_theta = fields[0].theta_count
-    q = np.arange(-2 * m_max, 2 * m_max + 1)
-    cols = np.arange(-m_max, m_max + 1)
-    out = np.zeros((len(fields), lambdas.size))
-    for i, lam in enumerate(lambdas):
-        amps = _circle_mode_amplitudes(grid, lam, n_theta, sign=-1.0)
-        kernel = amps.reshape(-1, n_theta)[:, q % n_theta]
-        for j, (coef, rows) in enumerate(zip(coefs, rowsets)):
-            if rows.size == 0:
-                continue
-            d = coef[:, rows + m_max].T @ kernel * grid.cell_volume
-            hs = 0.0
-            for k, m in enumerate(rows):
-                hs += float(np.sum(np.abs(d[k, (m - cols) + 2 * m_max]) ** 2))
-            out[j, i] = hs
-    return out
+    if not fields:
+        raise ValueError("mn_hs_profiles needs at least one field")
+    return _hs_profiles(fields, np.asarray(lambdas, dtype=float), m_max)
 
 
 def mn_spectral_tail_fraction(f: MotionField, lam_max: float) -> float:

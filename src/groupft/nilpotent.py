@@ -19,10 +19,14 @@ A group enters through two pieces of data:
 
 Every descriptor is expression data read by ``descriptor_from_json``; the
 built-in thread-like groups (n = 3, 4, 5) are JSON files in ``data/``
-loaded through the same path as user files.  The t-integrand is one
-``np.einsum`` per point: each slot's substituted coordinate is evaluated
-on the sparse t mesh, and the t-axes along which that array varies are
-the t-axes its phase factor contracts over.  Substituted coordinates
+loaded through the same path as user files.  The t-integrand of a whole
+HS-profile is one ``np.einsum`` per block of cross-section points: each
+slot's substituted coordinate is evaluated on the sparse t mesh, the
+t-axes along which that array varies are the t-axes its phase factor
+contracts over, and slots whose expression reads xi carry a point axis.
+Phases of slots that read no xi are built once, and folded into f where
+that does not enlarge it.  Blocks are sized so that memory stays within a
+fixed budget whatever the number of points.  Substituted coordinates
 outside the dual box are masked to zero; that dropped mass is not yet
 measured or budgeted.
 
@@ -36,6 +40,7 @@ quadratures and its spectral mass is reported, not hidden.
 from __future__ import annotations
 
 import json
+import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,6 +88,9 @@ __all__ = [
 EPS_SINGULAR = 0.05
 BAND_MASS_BUDGET = 0.005
 _DATA_DIR = Path(__file__).resolve().parent / "data"
+_BLOCK_BYTES = 16 * 2**20  # working memory of one np.einsum over a block of points or grid slices
+_GRID_LETTERS = string.ascii_lowercase[:-1]  # einsum index of grid axis i
+_POINT_LETTER = string.ascii_lowercase[-1]  # einsum index of the point axis
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +350,44 @@ def threadlike_descriptor(n: int) -> CrossSectionDescriptor:
 # ---------------------------------------------------------------------------
 
 
+def _slices_per_einsum(subscripts, operands, path, count: int) -> int:
+    """Slices of a length-``count`` axis that one np.einsum along ``path``
+    may take at once and keep its working memory within _BLOCK_BYTES.
+
+    Every intermediate is charged as if it scaled with the sliced axis, and
+    twice, because np.einsum may copy one into batched-matmul layout.
+    """
+    info = np.einsum_path(subscripts, *operands, optimize=path)[1]
+    largest = float(re.search(r"Largest intermediate:\s*(\S+)", info).group(1))
+    return max(1, int(_BLOCK_BYTES * count // (2 * 16 * largest)))
+
+
+def _t_letters(axes) -> str:
+    """einsum indices of t-axes."""
+    return "".join(string.ascii_uppercase[a] for a in axes)
+
+
 class _HsEvaluator:
-    """Evaluates the t-integral of hs2(xi) with one einsum per point.
+    """Evaluates the t-integral of hs2 at stacked cross-section points.
 
     Slot i's substituted coordinate, evaluated on the sparse t mesh, varies
-    along some of the t-axes; its phase factor exp(-2 pi i c x_i) carries
-    exactly those axes plus grid axis i, so the t-axes shared between slots
-    become batch indices of the contraction.  Subscripts and the greedy
-    contraction path depend only on those shapes and are fixed at the
-    first point.
+    along some of the t-axes and, when its expression reads any xi, along
+    the point axis; its phase factor exp(-2 pi i c x_i) carries exactly
+    those axes plus grid axis i.  At construction, with ``fold``, the
+    phases of slots that read no xi are folded into f (a "base" array)
+    where that does not make it larger; the others are kept as operands.
+    Points are then taken in blocks, one np.einsum per block that
+    contracts the base with the slot phases one slot after another; the
+    t-axes shared between slots and the point axis are batch indices.
+    Every intermediate of a block grows linearly with its number of
+    points, and the block size (like the slice count of the folding) keeps
+    its working memory within _BLOCK_BYTES: memory does not grow with the
+    number of points.
     """
 
-    def __init__(self, f: SampledField, desc: CrossSectionDescriptor, t_nodes: int = 32):
+    def __init__(
+        self, f: SampledField, desc: CrossSectionDescriptor, t_nodes: int = 32, fold: bool = True
+    ):
         if f.has_group_axis:
             raise ValueError("nilpotent fields are spatial-only (exponential coordinates)")
         if f.grid.dim != desc.n:
@@ -371,40 +405,115 @@ class _HsEvaluator:
             shape[a] = t_nodes
             self.t_sparse.append((T * x).reshape(shape))
             self.t_weights = self.t_weights * (T * w).reshape(shape)
-        self._einsum = None  # (subscripts, contraction path, output shape)
+        xi_names = {f"xi{i}" for i in range(1, desc.n + 1)}
+        self.reads_xi = [bool(e.variable_names & xi_names) for e in desc.substitute_exprs]
+        grid = _GRID_LETTERS[: desc.n]
+        env = desc._env(np.zeros(desc.n), self.t_sparse)
+        terms, operands, kept, self.base_axes = [grid], [f.values], "", set()
+        self.unfolded = {}  # slot -> (t-axes, phase) of xi-free phases kept out of the base
+        for i, (expr, reads_xi) in enumerate(zip(desc.substitute_exprs, self.reads_xi)):
+            if not reads_xi:
+                axes, phase = self._phase(i, expr(env), per_point=False)
+                if fold and phase.size <= phase.shape[-1] ** 2:  # folding does not grow the base
+                    terms.append(_t_letters(axes) + grid[i])
+                    operands.append(phase)
+                    self.base_axes.update(axes)
+                    continue
+                self.unfolded[i] = axes, phase
+            kept += grid[i]
+        self.base_sub = kept + _t_letters(sorted(self.base_axes))
+        subscripts = ",".join(terms) + "->" + self.base_sub
+        path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+        if len(operands) == 1:  # nothing to fold
+            self.base = f.values
+        elif not kept:  # every slot folded: no slot reads xi
+            self.base = np.einsum(subscripts, *operands, optimize=path)
+        else:  # in slices of the first kept grid axis, the base's leading axis
+            axis = grid.index(kept[0])
+            count = f.grid.counts[axis]
+            step = _slices_per_einsum(subscripts, operands, path, count)
+            sizes = dict(zip(grid, f.grid.counts)) | dict.fromkeys(string.ascii_uppercase, t_nodes)
+            self.base = np.empty([sizes[c] for c in self.base_sub], dtype=complex)
+            for start in range(0, count, step):
+                part = (slice(None),) * axis + (slice(start, start + step),)
+                operands[0] = f.values[part]
+                np.einsum(subscripts, *operands, optimize=path, out=self.base[start : start + step])
+        self._block = None  # points per block
 
-    def integrand(self, xi_cross) -> np.ndarray:
-        """|F(f o exp)(substitute(xi, t))|^2 on the t tensor grid."""
+    def _phase(self, i: int, c, per_point: bool):
+        """(t-axes c varies along, phase over (point axis +) those axes x grid axis i).
+
+        Entries whose coordinate leaves the dual box are masked to zero.
+        """
         mesh = self.t_weights.shape
-        phases, slot_axes = [], []
-        for i, c in enumerate(self.desc.substitute(self.desc.embed(xi_cross), self.t_sparse)):
-            c = np.asarray(c, dtype=float)
-            axes = [a for a, m in enumerate((1,) * (len(mesh) - c.ndim) + c.shape) if m > 1]
-            c = c.reshape([mesh[a] for a in axes])  # keep only the t-axes c varies along
-            phase = _axis_phase(c.ravel(), self.f.grid.axis(i), -1.0).reshape(c.shape + (-1,))
-            phase[np.abs(c) > self.W[i]] = 0.0  # outside the dual box: masked, not budgeted
-            phases.append(phase)
-            slot_axes.append(axes)
-        if self._einsum is None:
-            grid = string.ascii_lowercase[: self.desc.n]
-            t_letters = string.ascii_uppercase
-            terms = [grid] + [
-                "".join(t_letters[a] for a in axes) + grid[i]
-                for i, axes in enumerate(slot_axes)
-            ]
-            present = sorted(set().union(*slot_axes))
-            subscripts = ",".join(terms) + "->" + "".join(t_letters[a] for a in present)
-            path = np.einsum_path(subscripts, self.f.values, *phases, optimize="greedy")[0]
-            shape = [mesh[a] if a in present else 1 for a in range(len(mesh))]
-            self._einsum = (subscripts, path, shape)
-        subscripts, path, shape = self._einsum
-        amp = np.einsum(subscripts, self.f.values, *phases, optimize=path)
-        dens = np.abs(amp) ** 2 * self.f.grid.cell_volume**2
-        return np.broadcast_to(dens.reshape(shape), mesh)
+        c = np.asarray(c, dtype=float)
+        lead = int(per_point)
+        dims = (1,) * (lead + len(mesh) - c.ndim) + c.shape
+        axes = [a for a, m in enumerate(dims[lead:]) if m > 1]
+        c = c.reshape(dims[:lead] + tuple(mesh[a] for a in axes))  # drop the constant t-axes
+        x = self.f.grid.axis(i)
+        phase = _axis_phase(c.ravel(), x, -1.0).reshape(c.shape + x.shape)
+        phase[np.abs(c) > self.W[i]] = 0.0  # outside the dual box: masked, not budgeted
+        return axes, phase
 
-    def t_integral(self, xi_cross) -> float:
-        """int |F(f o exp)(substitute(xi, t))|^2 dt by the tensor Gauss rule."""
-        return float(np.sum(self.integrand(xi_cross) * self.t_weights))
+    def _contraction(self, points):
+        """(subscripts, operands, path, t-axes of the result) contracting the
+        base with the unfolded phases at stacked points (P, k), one slot
+        after another."""
+        xi = self.desc.embed(points)
+        env = self.desc._env(xi.reshape(xi.shape + (1,) * self.t_weights.ndim), self.t_sparse)
+        terms, operands, present = [], [], set(self.base_axes)
+        for i, (expr, reads_xi) in enumerate(zip(self.desc.substitute_exprs, self.reads_xi)):
+            if reads_xi:
+                axes, phase = self._phase(i, expr(env), per_point=True)
+                terms.append(_POINT_LETTER + _t_letters(axes) + _GRID_LETTERS[i])
+            elif i in self.unfolded:
+                axes, phase = self.unfolded[i]
+                terms.append(_t_letters(axes) + _GRID_LETTERS[i])
+            else:
+                continue
+            operands.append(phase)
+            present.update(axes)
+        if not any(self.reads_xi):  # the same t-integrand at every point
+            terms.append(_POINT_LETTER)
+            operands.append(np.ones(len(points)))
+        present = sorted(present)
+        terms.append(self.base_sub)
+        operands.append(self.base)
+        subscripts = ",".join(terms) + "->" + _POINT_LETTER + _t_letters(present)
+        # each step contracts the first phase left with the running result, the last operand
+        path = ["einsum_path"] + [(0, m) for m in range(len(operands) - 1, 0, -1)]
+        return subscripts, operands, path, present
+
+    def _block_size(self, points) -> int:
+        """Points per block, sized once at the first point."""
+        if self._block is None:
+            subscripts, operands, path, _ = self._contraction(points[:1])
+            self._block = _slices_per_einsum(subscripts, operands, path, 1)
+        return self._block
+
+    def integrand(self, points) -> np.ndarray:
+        """|F(f o exp)(substitute(xi, t))|^2 at stacked points (P, k), shape
+        (P, *t mesh), in one contraction (no blocking)."""
+        mesh = self.t_weights.shape
+        subscripts, operands, path, present = self._contraction(points)
+        amp = np.einsum(subscripts, *operands, optimize=path)
+        dens = np.abs(amp) ** 2 * self.f.grid.cell_volume**2
+        shape = [mesh[a] if a in present else 1 for a in range(len(mesh))]
+        return np.broadcast_to(dens.reshape([len(points)] + shape), (len(points),) + mesh)
+
+    def t_integrals(self, points) -> np.ndarray:
+        """int |F(f o exp)(substitute(xi, t))|^2 dt per point, by the tensor
+        Gauss rule, one block of points at a time."""
+        points = np.asarray(points, dtype=float)
+        out = np.empty(len(points))
+        if len(points) == 0:
+            return out
+        step = self._block_size(points)
+        for start in range(0, len(points), step):
+            dens = self.integrand(points[start : start + step]) * self.t_weights
+            out[start : start + step] = dens.reshape(len(dens), -1).sum(axis=1)
+        return out
 
 
 def nilpotent_hs_norm_sq(
@@ -421,7 +530,9 @@ def nilpotent_hs_norm_sq(
         raise SingularBandError(
             f"|Pf(xi)| = {pf:.3e} inside the excluded band (eps = {eps_sing})"
         )
-    return abs(float(desc.h(xi))) * _HsEvaluator(f, desc, t_nodes).t_integral(xi_cross)
+    points = np.atleast_2d(np.asarray(xi_cross, dtype=float))
+    evaluator = _HsEvaluator(f, desc, t_nodes, fold=False)  # folding pays off over many points
+    return abs(float(desc.h(xi))) * float(evaluator.t_integrals(points)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +582,7 @@ def nilpotent_w_profile(
     points, weights = points.reshape(-1, k), np.prod(weights.reshape(-1, k), axis=1)
     xi = desc.embed(points)
     keep = np.abs(desc.pfaffian(xi)) > eps_sing
-    integrals = np.array([evaluator.t_integral(p) for p in points[keep]])
+    integrals = evaluator.t_integrals(points[keep])
     return points[keep], weights[keep], np.abs(desc.h(xi[:, keep])) * integrals
 
 
@@ -562,10 +673,13 @@ def nilpotent_corpus(grid, seed: int, count: int) -> list[SampledField]:
     """Seeded corpus with dual energy pushed away from the singular band.
 
     Alternates packets modulated along the first axis (dual centre near
-    +-1) with first-axis Hermite packets (dual density vanishing at
-    xi_1 = 0); both keep the spectral mass in |xi_1| < 0.05 far below the
-    0.5% budget.  Raises DecayError when the grid cannot support the
-    required margins.
+    +-1) with first-axis Hermite packets (odd members; dual density
+    vanishing at xi_1 = 0).  The modulated packets keep the spectral mass
+    in |xi_1| < 0.05 far below the 0.5% budget.  The Hermite members do
+    not: they carry about 0.70% band mass, so the Plancherel guard rejects
+    every one of them with SingularBandError (or DecayError first where
+    the boundary decay exceeds 1e-10).  Raises DecayError when the grid
+    cannot support the required margins.
     """
     rng = np.random.default_rng(seed)
     L = grid.half_extents

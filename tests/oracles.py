@@ -48,3 +48,31 @@ def brute_force_hs_norm_sq(field_values, grid_axes, cell_volume, h_abs, targets,
         val = np.sum(field_values * np.exp(-2j * np.pi * phase)) * cell_volume
         total += w * abs(val) ** 2
     return h_abs * total
+
+
+def brute_force_motion_ft(values, z1, z2, lam, m_max):
+    """Truncated motion-group transform F[m, m'] by an explicit nested sum.
+
+    F[m, m'] = h^2 sum_{z, k, j} f(z, theta_k) e^{-i m theta_k}
+               exp(-i lam (z1 cos g_j - z2 sin g_j)) e^{-i (m - m') g_j} / n^2
+
+    with theta_k = g_k = 2 pi k / n on the n-point circle grid: the full
+    plane wave is built over (z1, z2, theta, gamma) for every entry, with no
+    FFT and no factorisation of the exponential.
+    """
+    n = values.shape[-1]
+    ang = 2.0 * np.pi * np.arange(n) / n
+    Z1 = z1[:, None, None, None]
+    Z2 = z2[None, :, None, None]
+    TH = ang[None, None, :, None]
+    GA = ang[None, None, None, :]
+    wave = np.exp(-1j * lam * (Z1 * np.cos(GA) - Z2 * np.sin(GA)))
+    f = values[..., None]
+    h2 = (z1[1] - z1[0]) * (z2[1] - z2[0])
+    side = 2 * m_max + 1
+    out = np.zeros((side, side), dtype=complex)
+    for r, m in enumerate(range(-m_max, m_max + 1)):
+        for c, mp in enumerate(range(-m_max, m_max + 1)):
+            terms = f * np.exp(-1j * m * TH) * wave * np.exp(-1j * (m - mp) * GA)
+            out[r, c] = np.sum(terms) * h2 / n**2
+    return out

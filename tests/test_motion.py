@@ -14,6 +14,7 @@ from groupft.motion import (
     mn_ft,
     mn_hs_norm_sq,
     mn_hs_profile,
+    mn_hs_profiles,
     mn_plancherel_ratio,
     mn_uncertainty,
     motion_corpus,
@@ -21,7 +22,7 @@ from groupft.motion import (
     pi_matrix_element,
 )
 
-from .oracles import bessel_j
+from .oracles import bessel_j, brute_force_motion_ft
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,16 @@ class TestKernel:
         rhs = 1.5 * mn_ft(f, 1.0, 8).matrix - 0.5j * mn_ft(g, 1.0, 8).matrix
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
+    @pytest.mark.parametrize("lam", [0.7, 2.3])
+    def test_matrix_vs_explicit_plane_waves(self, lam):
+        small = make_grid(2, [3.0, 3.0], [16, 16])
+        rng = np.random.default_rng(1)
+        shape = small.counts + (16,)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = mn_ft(motion_field(small, vals), lam, 3).matrix
+        want = brute_force_motion_ft(vals, small.axis(0), small.axis(1), lam, 3)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
     def test_rejects_bad_lambda_and_truncation(self, grid):
         f = radial_field(grid, n_theta=16)
         with pytest.raises(ValueError):
@@ -95,6 +106,27 @@ class TestHSNorm:
         op = mn_ft(corpus[0], 1.0, 8)
         trace = float(np.trace(op.matrix @ op.matrix.conj().T).real)
         assert mn_hs_norm_sq(op) == pytest.approx(trace, rel=1e-12)
+
+    def test_profiles_match_matrix_entries(self, corpus):
+        lams = [0.4, 6.0]
+        batched = mn_hs_profiles(corpus, lams, 16)
+        for f, row in zip(corpus, batched):
+            entries = [mn_hs_norm_sq(mn_ft(f, lam, 16)) for lam in lams]
+            np.testing.assert_allclose(mn_hs_profile(f, lams, 16), entries, rtol=1e-12)
+            np.testing.assert_allclose(row, entries, rtol=1e-12)
+
+    def test_profiles_reject_empty_list(self):
+        with pytest.raises(ValueError):
+            mn_hs_profiles([], [1.0], 4)
+
+    def test_profiles_reject_mixed_grids(self, grid, corpus):
+        wider = make_grid(2, [7.0, 7.0], grid.counts)
+        other = motion_field(wider, corpus[1].values)
+        with pytest.raises(ValueError, match="fields\\[1\\]"):
+            mn_hs_profiles([corpus[0], other], [1.0], 4)
+        coarser = motion_field(grid, corpus[1].values[..., ::2])
+        with pytest.raises(ValueError, match="fields\\[1\\]"):
+            mn_hs_profiles([corpus[0], coarser], [1.0], 4)
 
     def test_truncation_monotone_and_cauchy(self, corpus):
         f = corpus[0]

@@ -4,6 +4,7 @@ shipped descriptor files against the reference algebra, loader checks."""
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,16 +56,16 @@ POINTS = {
 }
 
 
-def oracle_targets(f, xi_cross):
+def oracle_targets(f, xi_cross, t_nodes=T_NODES):
     """(targets, weights, in-box mask) on the tensor Gauss-Legendre t grid."""
     desc = nil.threadlike_descriptor(f.grid.dim)
     xi = desc.embed(xi_cross)
     W = np.asarray(f.grid.dual_half_extents)
-    x, w = np.polynomial.legendre.leggauss(T_NODES)
+    x, w = np.polynomial.legendre.leggauss(t_nodes)
     T1, T2 = (W[slot - 1] * (1.0 - 1e-12) for slot in desc.vanishing)
     targets, weights = [], []
-    for a in range(T_NODES):
-        for b in range(T_NODES):
+    for a in range(t_nodes):
+        for b in range(t_nodes):
             targets.append(threadlike_point(xi, T1 * x[a], T2 * x[b]))
             weights.append(T1 * w[a] * T2 * w[b])
     targets = np.array(targets)
@@ -82,10 +83,86 @@ def test_integrand_matches_brute_force(random_field, which):
     f = random_field
     xi_cross = POINTS[f.grid.dim][which]
     targets, _, inside = oracle_targets(f, xi_cross)
-    got = nil._HsEvaluator(f, nil.threadlike_descriptor(f.grid.dim), T_NODES).integrand(xi_cross)
+    evaluator = nil._HsEvaluator(f, nil.threadlike_descriptor(f.grid.dim), T_NODES)
+    got = evaluator.integrand(np.array(POINTS[f.grid.dim]))[which]
     want = np.array([oracle(f, [p], 1.0, [1.0]) if ok else 0.0 for p, ok in zip(targets, inside)])
     assert want.max() > 0.0
     np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-12 * want.max())
+
+
+def test_w_profile_matches_brute_force(random_field):
+    f = random_field
+    desc = nil.threadlike_descriptor(f.grid.dim)
+    points, _, values = nil.nilpotent_w_profile(f, desc, 2, T_NODES)
+    want = []
+    for p in points:
+        targets, weights, inside = oracle_targets(f, p)
+        want.append(oracle(f, targets[inside], 1.0 / abs(p[0]), weights[inside]))
+    assert len(points) == 2 ** (f.grid.dim - 1)  # slot 1 has two pieces, no node dropped
+    np.testing.assert_allclose(values, want, rtol=1e-12)
+
+
+def test_w_profile_blocks_match_one_contraction(random_field, monkeypatch):
+    """A one-byte budget folds the base one grid slice at a time and takes
+    the profile one point at a time."""
+    f = random_field
+    desc = nil.threadlike_descriptor(f.grid.dim)
+    points, _, values = nil.nilpotent_w_profile(f, desc, 3, T_NODES)
+    evaluator = nil._HsEvaluator(f, desc, T_NODES)
+    whole = np.sum(evaluator.integrand(points) * evaluator.t_weights, axis=(1, 2))
+    monkeypatch.setattr(nil, "_BLOCK_BYTES", 1)
+    blocked = nil._HsEvaluator(f, desc, T_NODES)
+    assert blocked._block_size(points) == 1 and blocked.base is not f.values
+    scale = np.abs(evaluator.base).max()
+    np.testing.assert_allclose(blocked.base, evaluator.base, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(blocked.t_integrals(points), whole, rtol=1e-12)
+    np.testing.assert_allclose(nil.nilpotent_w_profile(f, desc, 3, T_NODES)[2], values, rtol=1e-12)
+
+
+def test_w_profile_memory_stays_within_budget(monkeypatch):
+    """n = 4 at the default nodes (800 points): the traced peak stays within
+    the block budget plus small per-point arrays.  One contraction over all
+    points holds about 33 MB here; the budget is lowered to 4 MB so that
+    the test runs fast and the two differ clearly."""
+    monkeypatch.setattr(nil, "_BLOCK_BYTES", 4 * 2**20)
+    grid = make_grid(4, [5.0] * 4, [24] * 4)
+    rng = np.random.default_rng(4)
+    f = SampledField(grid, rng.standard_normal(grid.counts) + 1j * rng.standard_normal(grid.counts))
+    tracemalloc.start()
+    try:
+        points, _, values = nil.nilpotent_w_profile(f, nil.threadlike_descriptor(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 800 and values.max() > 0.0
+    assert peak < nil._BLOCK_BYTES + 2 * 2**20
+
+
+def test_unfolded_phases_match_brute_force(random_field):
+    """With more t nodes than grid points the xi-free phases stay out of the base."""
+    f = random_field
+    n, t_nodes = f.grid.dim, f.grid.counts[0] + 2
+    evaluator = nil._HsEvaluator(f, nil.threadlike_descriptor(n), t_nodes)
+    assert sorted(evaluator.unfolded) == [1, n - 1] and evaluator.base is f.values
+    got = evaluator.integrand(np.array(POINTS[n]))
+    for p, row in zip(POINTS[n], got):
+        targets, _, inside = oracle_targets(f, p, t_nodes)
+        want = [oracle(f, [q], 1.0, [1.0]) if ok else 0.0 for q, ok in zip(targets, inside)]
+        np.testing.assert_allclose(row.ravel(), want, rtol=0, atol=1e-12 * max(want))
+
+
+def test_substitute_without_xi():
+    """When no substitute reads xi, hs2 / h(xi) is one t-integral at every point."""
+    desc, _ = nil.descriptor_from_json(
+        {"schema": 1, "n": 3, "vanishing": [2, 3], "pfaffian": "xi1", "h": "1/xi1",
+         "substitute": {"1": "0.5"}, "bounds": {"1": [[0.1, 0.9]]}}
+    )
+    grid = make_grid(3, [4.0] * 3, [16] * 3)
+    rng = np.random.default_rng(3)
+    f = SampledField(grid, rng.standard_normal(grid.counts) + 1j * rng.standard_normal(grid.counts))
+    points, _, values = nil.nilpotent_w_profile(f, desc, 3, T_NODES)
+    one = nil.nilpotent_hs_norm_sq(f, desc, [0.5], T_NODES) * 0.5
+    np.testing.assert_allclose(values * points[:, 0], one, rtol=1e-12)
 
 
 def test_oracle_point_leaves_dual_box():
@@ -132,7 +209,7 @@ def test_profile_sums_match_pointwise_loop(t3_member):
     profile = nil.nilpotent_w_profile(f, desc, 4, T_NODES)
     points, weights, values = profile
     loop = [nil.nilpotent_hs_norm_sq(f, desc, p, T_NODES) for p in points]
-    np.testing.assert_allclose(values, loop, rtol=1e-13)
+    np.testing.assert_allclose(values, loop, rtol=1e-13, atol=1e-13 * max(loop))
     pf = np.array([abs(p[0]) for p in points])
     ratio = nil.nilpotent_plancherel_ratio(f, desc, profile=profile)
     assert ratio == pytest.approx(np.sum(weights * values * pf) / l2_norm_sq(f), rel=1e-13)
