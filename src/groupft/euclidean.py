@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DecayError, MomentDivergenceError, ZeroFieldError
 from .fields import (
+    _BOUNDARY_DECAY_LIMIT,
     MomentSpec,
     SampledField,
     boundary_decay,
@@ -105,7 +106,7 @@ def _dilate(f: SampledField, t: float) -> SampledField:
         idx[i] = np.isnan(x)
         vals[tuple(idx)] = 0.0
     out = SampledField(g, vals * t ** (g.dim / 2.0))
-    if boundary_decay(out) > 1e-10:
+    if boundary_decay(out) > _BOUNDARY_DECAY_LIMIT:
         raise DecayError(f"scale t={t} pushes mass onto the box boundary")
     return out
 

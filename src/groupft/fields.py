@@ -375,6 +375,10 @@ def spectral_partial(f: SampledField, axis: int) -> SampledField:
     return inverse_euclidean_ft(SampledField(fhat.grid, vals, fhat.group_weights))
 
 
+# largest boundary_decay at which a field counts as decayed inside its box
+_BOUNDARY_DECAY_LIMIT = 1e-10
+
+
 def boundary_decay(f: SampledField) -> float:
     """max |f| over boundary faces divided by max |f| overall (0 for f == 0)."""
     mag = np.abs(f.values)

@@ -41,6 +41,7 @@ import numpy as np
 from .errors import AliasingError, DecayError, SpectralTailError, ZeroFieldError
 from .euclidean import UncertaintyTerms, _terms, checked_moment
 from .fields import (
+    _BOUNDARY_DECAY_LIMIT,
     Grid,
     SampledField,
     boundary_decay,
@@ -334,7 +335,7 @@ def _quadrature_guard(f: MotionField, lgrid: LambdaGrid) -> float:
     norm_sq = l2_norm_sq(f.sampled)
     if norm_sq <= 0.0:
         raise ZeroFieldError("motion-group ratio undefined for the zero field")
-    if boundary_decay(f.sampled) > 1e-10:
+    if boundary_decay(f.sampled) > _BOUNDARY_DECAY_LIMIT:
         raise DecayError("field has not decayed at the spatial box boundary")
     tail = mn_spectral_tail_fraction(f, lgrid.lam_max)
     if tail > SPECTRAL_TAIL_BUDGET:

@@ -56,6 +56,7 @@ from .errors import (
 from .euclidean import UncertaintyTerms, _terms, checked_moment
 from .exprs import Expression, parse_expression
 from .fields import (
+    _BOUNDARY_DECAY_LIMIT,
     SampledField,
     _axis_phase,
     axis_band_fraction,
@@ -600,7 +601,7 @@ def _plancherel_guard(f: SampledField, desc, eps_sing: float) -> tuple[float, fl
     norm_sq = l2_norm_sq(f)
     if norm_sq <= 0.0:
         raise ZeroFieldError("Plancherel ratio undefined for the zero field")
-    if boundary_decay(f) > 1e-10:
+    if boundary_decay(f) > _BOUNDARY_DECAY_LIMIT:
         raise DecayError("field has not decayed at the box boundary")
     band = singular_band_fraction(f, desc, eps_sing)
     if band is not None and band >= BAND_MASS_BUDGET:
@@ -693,15 +694,23 @@ def nilpotent_corpus(grid, seed: int, count: int) -> list[SampledField]:
             f"grid (extents {L}, counts {grid.counts}) too coarse for a "
             "band-avoiding corpus"
         )
+    width_ranges = []  # (lo, hi) of the width on axes 1.., checked before any draw
+    for a in range(1, grid.dim):
+        w_hi_a = (L[a] - 0.2) / delta
+        w_lo_a = delta / (W[a] - 0.25) if W[a] > 0.25 else np.inf
+        if w_lo_a > w_hi_a:
+            raise DecayError(
+                f"axis {a} of the grid (extent {L[a]}, {grid.counts[a]} points) is too "
+                f"coarse for the corpus margins: width {w_lo_a:.3g} > {w_hi_a:.3g}"
+            )
+        width_ranges.append((w_lo_a, min(w_hi_a, 1.3 * w_lo_a)))
     out = []
     for i in range(count):
         widths = [rng.uniform(w_lo, w_hi)]
         centers = [rng.uniform(-0.2, 0.2)]
         mods = [rng.choice([-1.0, 1.0]) * rng.uniform(0.9 * alpha, alpha)]
-        for a in range(1, grid.dim):
-            w_hi_a = (L[a] - 0.2) / delta
-            w_lo_a = delta / (W[a] - 0.25)
-            widths.append(rng.uniform(w_lo_a, min(w_hi_a, 1.3 * w_lo_a)))
+        for lo, hi in width_ranges:
+            widths.append(rng.uniform(lo, hi))
             centers.append(rng.uniform(-0.2, 0.2))
             mods.append(rng.uniform(-0.25, 0.25))
         if i % 2 == 1:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compact import CircleDual, FiniteGroupData
-from .errors import MomentDivergenceError, ZeroFieldError
-from .euclidean import BOUNDARY_MASS_BUDGET, UncertaintyTerms, _terms, checked_moment
+from .errors import ZeroFieldError
+from .euclidean import UncertaintyTerms, _terms, checked_moment
 from .fields import Grid, SampledField, euclidean_ft, l2_norm_sq
 from .fields import test_corpus as _spatial_corpus
 
@@ -138,14 +138,8 @@ def product_uncertainty(pf: ProductField, spec) -> UncertaintyTerms:
     n = pf.base.grid.dim
     position = checked_moment(pf.base, 2.0 * spec.a, "position") ** (1.0 / (2.0 * spec.a))
     dual = product_ft(pf)
-    dens = dual.hs_density()
-    r2 = dual.dual_grid.radius_sq()
-    integrand = r2**spec.b * dens
-    total = float(integrand.sum())
-    if total > 0:
-        interior = integrand[tuple(slice(1, -1) for _ in range(n))]
-        if 1.0 - float(interior.sum()) / total > BOUNDARY_MASS_BUDGET:
-            raise MomentDivergenceError("frequency moment untrusted: boundary-cell mass")
-    momentum = (total * dual.dual_grid.cell_volume) ** (1.0 / (2.0 * spec.b))
+    # a field on the dual grid whose |.|^2 is the HS density carries the frequency moment
+    amplitude = SampledField(dual.dual_grid, np.sqrt(dual.hs_density()))
+    momentum = checked_moment(amplitude, 2.0 * spec.b, "frequency") ** (1.0 / (2.0 * spec.b))
     lhs = n * norm_sq ** (0.5 * (1.0 / spec.a + 1.0 / spec.b)) / (4.0 * np.pi)
     return _terms(lhs, position, momentum)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from groupft import nilpotent as nil
-from groupft.errors import SingularBandError
-from groupft.fields import MomentSpec, SampledField, l2_norm_sq, make_grid
+from groupft.errors import DecayError, IllConditionedError, SingularBandError
+from groupft.fields import MomentSpec, SampledField, gaussian_packet, l2_norm_sq, make_grid
 
 from .oracles import brute_force_hs_norm_sq
 
@@ -276,3 +276,77 @@ def test_loader_rejects_bad_file(change, key):
     data.update(change)
     with pytest.raises(ValueError, match=f"^{re.escape(key)}:"):
         nil.descriptor_from_json(data)
+
+
+def generic_xi(n, xi1):
+    """(xi1, 0, 0.3, ..., 0.3), or (xi1, 0, 0) at n = 3."""
+    return np.array([xi1, 0.0] + [0.3 if n > 3 else 0.0] * (n - 2))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_threadlike_generic_jumps_and_pfaffian(n):
+    jump = nil.jump_indices(nil.threadlike_algebra(n), generic_xi(n, 0.7))
+    assert jump.indices == (2, n)
+    assert nil.pfaffian_sq(jump) == pytest.approx(0.49, rel=1e-12)  # xi1^2
+
+
+@pytest.mark.parametrize("n, indices", [(3, ()), (4, (3, 4)), (5, (3, 5))])
+def test_threadlike_jumps_off_the_generic_layer(n, indices):
+    xi = np.zeros(n)
+    xi[1] = 1.0  # xi1 = 0, xi2 = 1
+    jump = nil.jump_indices(nil.threadlike_algebra(n), xi)
+    assert jump.indices == indices
+    if not indices:
+        with pytest.raises(ValueError):
+            nil.pfaffian_sq(jump)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_threadlike_jumps_ill_conditioned_near_singular_set(n):
+    with pytest.raises(IllConditionedError):
+        nil.jump_indices(nil.threadlike_algebra(n), generic_xi(n, 1e-9))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"pfaffian": "2*xi1"}, "pfaffian mismatch"),
+        ({"substitute": {"1": "xi1", "2": "0*t1", "3": "t2"}}, "not injective"),
+    ],
+    ids=["wrong-pfaffian", "constant-substitute"],
+)
+def test_validate_descriptor_reports_broken_variant(change, message):
+    data = shipped(3)
+    data.update(change)
+    desc, algebra = nil.descriptor_from_json(data)
+    report = nil.validate_descriptor(desc, algebra)
+    assert report and all(message in line for line in report)
+
+
+def test_validate_descriptor_without_algebra():
+    desc, _ = nil.load_descriptor_file(DATA / "threadlike3.json")
+    assert nil.validate_descriptor(desc) == []
+
+
+@pytest.fixture(scope="module")
+def t3_grid():
+    return make_grid(3, [5.0] * 3, [48] * 3)
+
+
+def test_plancherel_guard_rejects_band_mass(t3_grid):
+    # unmodulated: the spectrum peaks on the singular band xi1 = 0
+    with pytest.raises(SingularBandError) as info:
+        nil.nilpotent_plancherel_ratio(gaussian_packet(t3_grid), nil.threadlike_descriptor(3))
+    assert info.value.excluded_mass == pytest.approx(0.14, abs=0.005)
+
+
+def test_plancherel_guard_rejects_undecayed_field(t3_grid):
+    f = gaussian_packet(t3_grid, widths=3.0)
+    with pytest.raises(DecayError):
+        nil.nilpotent_plancherel_ratio(f, nil.threadlike_descriptor(3))
+
+
+def test_corpus_rejects_coarse_axis_before_drawing():
+    grid = make_grid(3, [5.0] * 3, [48, 16, 48])  # axis 1: width 5.16 needed, 1.69 allowed
+    with pytest.raises(DecayError, match="axis 1"):
+        nil.nilpotent_corpus(grid, 0, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from groupft.compact import CircleDual, cyclic_group, symmetric_group_3
-from groupft.errors import ZeroFieldError
+from groupft.errors import MomentDivergenceError, ZeroFieldError
 from groupft.fields import MomentSpec, gaussian_packet, l2_norm_sq, make_grid
 from groupft.product import (
     make_product_field,
@@ -113,6 +113,13 @@ class TestProductUncertainty:
     def test_zero_rejected(self, grid1d, s3):
         pf = make_product_field(grid1d, s3, np.zeros((1024, 6)))
         with pytest.raises(ZeroFieldError):
+            product_uncertainty(pf, MomentSpec(1.0, 1.0))
+
+    def test_box_indicator_frequency_moment_rejected(self, grid1d, s3):
+        # the jump's slowly decaying spectrum puts its moment mass on the dual boundary
+        box = (np.abs(grid1d.axis(0)) < 1.0).astype(float)
+        pf = make_product_field(grid1d, s3, box[:, None] * np.arange(1.0, 7.0))
+        with pytest.raises(MomentDivergenceError, match="frequency"):
             product_uncertainty(pf, MomentSpec(1.0, 1.0))
 
     def test_holder_step_inequality(self, grid1d, s3):
