@@ -20,6 +20,9 @@ Fourier transform acts on the spatial axes only.
 
 from __future__ import annotations
 
+import functools
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -276,7 +279,7 @@ def _fft_phases(grid: Grid):
     return pres, posts
 
 
-def _apply_axis_vectors(values: np.ndarray, vectors, dim: int) -> np.ndarray:
+def _apply_axis_vectors(values: np.ndarray, vectors) -> np.ndarray:
     out = values
     for i, vec in enumerate(vectors):
         shape = [1] * values.ndim
@@ -294,9 +297,9 @@ def euclidean_ft(f: SampledField) -> SampledField:
     """
     g = f.grid
     pres, posts = _fft_phases(g)
-    vals = _apply_axis_vectors(f.values, pres, g.dim)
+    vals = _apply_axis_vectors(f.values, pres)
     vals = np.fft.fftn(vals, axes=tuple(range(g.dim)))
-    vals = _apply_axis_vectors(vals, posts, g.dim) * g.cell_volume
+    vals = _apply_axis_vectors(vals, posts) * g.cell_volume
     return SampledField(g.dual(), vals, f.group_weights)
 
 
@@ -305,9 +308,9 @@ def inverse_euclidean_ft(fhat: SampledField) -> SampledField:
     gdual = fhat.grid
     gprim = gdual.dual()
     pres, posts = _fft_phases(gprim)
-    vals = _apply_axis_vectors(fhat.values, [np.conj(p) for p in posts], gdual.dim)
+    vals = _apply_axis_vectors(fhat.values, [np.conj(p) for p in posts])
     vals = np.fft.ifftn(vals, axes=tuple(range(gdual.dim)))
-    vals = _apply_axis_vectors(vals, pres, gdual.dim)
+    vals = _apply_axis_vectors(vals, pres)
     vals = vals * (np.prod(gdual.counts) * gdual.cell_volume)
     return SampledField(gprim, vals, fhat.group_weights)
 
@@ -394,24 +397,44 @@ def boundary_decay(f: SampledField) -> float:
     return worst / peak
 
 
-def axis_band_fraction(f: SampledField, axis: int, cut: float, nodes: int = 64) -> float:
+@functools.cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_rule(pieces, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite n-point Gauss-Legendre (nodes, weights) over (lo, hi) pieces."""
+    x, w = _legendre(n)
+    nodes, weights = [], []
+    for lo, hi in pieces:
+        half = 0.5 * (hi - lo)
+        nodes.append(half * x + 0.5 * (hi + lo))
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def axis_band_fraction(f: SampledField, axis: int, cut: float) -> float:
     """Fraction of spectral energy with |xi_axis| < cut.
 
     Uses the marginal dual density g(xi) = int |F_axis f(xi, x_rest)|^2 dx_rest
-    evaluated by a direct 1-D transform on Gauss-Legendre nodes over
+    evaluated by a direct 1-D transform on 64 Gauss-Legendre nodes over
     [-cut, cut], so bands much narrower than the dual grid spacing are
-    still resolved.
+    still resolved.  A cut beyond the dual half-extent raises
+    AliasingError: the grid cannot tell those frequencies from aliases.
     """
     if f.has_group_axis:
         raise ValueError("axis_band_fraction applies to spatial-only fields")
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    xi = cut * x
+    if cut > f.grid.dual_half_extents[axis] * (1.0 + 1e-12):
+        raise AliasingError(f"band cut {cut} beyond the dual half-extent of axis {axis}")
+    xi, w = _gauss_rule([(-cut, cut)], 64)
     ph = _axis_phase(xi, f.grid.axis(axis), -1.0) * f.grid.spacings[axis]
     vals = np.moveaxis(f.values, axis, 0)
     slab = np.tensordot(ph, vals, axes=(1, 0))  # (nodes, rest...)
     rest_vol = f.grid.cell_volume / f.grid.spacings[axis]
-    dens = (np.abs(slab) ** 2).reshape(nodes, -1).sum(axis=1) * rest_vol
-    band = float(np.dot(w * cut, dens))
+    dens = (np.abs(slab) ** 2).reshape(len(xi), -1).sum(axis=1) * rest_vol
+    band = float(np.dot(w, dens))
     total = l2_norm_sq(f)  # Parseval: total spectral energy
     return band / total if total > 0 else 0.0
 
@@ -547,24 +570,39 @@ def save_field(f: SampledField, path) -> None:
 
 
 def load_field(path) -> SampledField:
+    """Read a field written by save_field.
+
+    Raises ValueError naming the file when it is not a field file, when
+    its header, axis table, weight block or value block is cut short, or
+    when bytes follow the value block; sizes are checked against the file
+    length before anything is read or allocated.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n_bytes: int, part: str) -> bytes:
+            if n_bytes > size - fh.tell():
+                raise ValueError(f"{path}: file ends inside the {part}")
+            return fh.read(n_bytes)
+
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a groupft field file")
-        version, dim, flags = struct.unpack("<III", fh.read(12))
+        version, dim, flags = struct.unpack("<III", read(12, "header"))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported field file version {version}")
         extents, counts = [], []
-        for _ in range(dim):
-            L, N = struct.unpack("<dQ", fh.read(16))
+        for L, N in struct.iter_unpack("<dQ", read(16 * dim, "axis table")):
             extents.append(L)
             counts.append(int(N))
         grid = make_grid(dim, extents, counts)
         weights = None
         shape = tuple(counts)
         if flags & 1:
-            (k,) = struct.unpack("<Q", fh.read(8))
-            weights = np.frombuffer(fh.read(8 * k), dtype=np.float64)
+            (k,) = struct.unpack("<Q", read(8, "weight block"))
+            weights = np.frombuffer(read(8 * k, "weight block"), dtype=np.float64)
             shape = shape + (k,)
-        n_vals = int(np.prod(shape))
-        vals = np.frombuffer(fh.read(16 * n_vals), dtype=np.complex128).reshape(shape)
+        n_bytes = 16 * math.prod(shape)
+        if size - fh.tell() > n_bytes:
+            raise ValueError(f"{path}: {size - fh.tell() - n_bytes} bytes after the value block")
+        vals = np.frombuffer(read(n_bytes, "value block"), dtype=np.complex128).reshape(shape)
         return SampledField(grid, vals.copy(), weights)

@@ -44,6 +44,7 @@ from .fields import (
     _BOUNDARY_DECAY_LIMIT,
     Grid,
     SampledField,
+    _gauss_rule,
     boundary_decay,
     euclidean_ft,
     gaussian_packet,
@@ -173,14 +174,8 @@ def make_lambda_grid(lam_max: float, panels: int = 8, nodes_per_panel: int = 12)
     """Composite Gauss-Legendre rule on (0, lam_max]."""
     if lam_max <= 0 or panels < 1 or nodes_per_panel < 1:
         raise ValueError("lam_max, panels and nodes_per_panel must be positive")
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
     edges = np.linspace(0.0, lam_max, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(half * x + 0.5 * (hi + lo))
-        weights.append(half * w)
-    return LambdaGrid(np.concatenate(nodes), np.concatenate(weights), lam_max)
+    return LambdaGrid(*_gauss_rule(zip(edges[:-1], edges[1:]), nodes_per_panel), lam_max)
 
 
 def pi_matrix_element(lam: float, z, m: int, n: int, n_theta: int = 128) -> complex:

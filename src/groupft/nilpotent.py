@@ -57,8 +57,10 @@ from .euclidean import UncertaintyTerms, _terms, checked_moment
 from .exprs import Expression, parse_expression
 from .fields import (
     _BOUNDARY_DECAY_LIMIT,
+    _DECAY_DELTA,
     SampledField,
     _axis_phase,
+    _gauss_rule,
     axis_band_fraction,
     boundary_decay,
     gaussian_packet,
@@ -397,15 +399,14 @@ class _HsEvaluator:
         self.desc = desc
         self.W = np.asarray(f.grid.dual_half_extents)
         n_axes = len(desc.vanishing)
-        x, w = np.polynomial.legendre.leggauss(t_nodes)
         self.t_sparse = []
         self.t_weights = np.ones((t_nodes,) * n_axes)
         for a, slot in enumerate(desc.vanishing):
             T = self.W[slot - 1] * (1.0 - 1e-12)
-            shape = [1] * n_axes
-            shape[a] = t_nodes
-            self.t_sparse.append((T * x).reshape(shape))
-            self.t_weights = self.t_weights * (T * w).reshape(shape)
+            t, w = _gauss_rule([(-T, T)], t_nodes)
+            shape = [1] * a + [t_nodes] + [1] * (n_axes - a - 1)
+            self.t_sparse.append(t.reshape(shape))
+            self.t_weights = self.t_weights * w.reshape(shape)
         xi_names = {f"xi{i}" for i in range(1, desc.n + 1)}
         self.reads_xi = [bool(e.variable_names & xi_names) for e in desc.substitute_exprs]
         grid = _GRID_LETTERS[: desc.n]
@@ -522,14 +523,17 @@ def nilpotent_hs_norm_sq(
     desc: CrossSectionDescriptor,
     xi_cross,
     t_nodes: int = 32,
-    eps_sing: float = EPS_SINGULAR,
 ) -> float:
-    """hs2 at one cross-section point (see module docstring)."""
+    """hs2 at one cross-section point (see module docstring).
+
+    Points with |Pf(xi)| <= EPS_SINGULAR raise SingularBandError; the
+    shipped descriptors' bounds leave the same gap.
+    """
     xi = desc.embed(xi_cross)
     pf = abs(float(desc.pfaffian(xi)))
-    if pf <= eps_sing:
+    if pf <= EPS_SINGULAR:
         raise SingularBandError(
-            f"|Pf(xi)| = {pf:.3e} inside the excluded band (eps = {eps_sing})"
+            f"|Pf(xi)| = {pf:.3e} inside the excluded band (eps = {EPS_SINGULAR})"
         )
     points = np.atleast_2d(np.asarray(xi_cross, dtype=float))
     evaluator = _HsEvaluator(f, desc, t_nodes, fold=False)  # folding pays off over many points
@@ -543,22 +547,14 @@ def nilpotent_hs_norm_sq(
 
 def _w_nodes(desc: CrossSectionDescriptor, f: SampledField, nodes_per_interval: int):
     """Per-coordinate (nodes, weights), bounds clipped to the dual box."""
-    x, w = np.polynomial.legendre.leggauss(nodes_per_interval)
     out = []
-    W = f.grid.dual_half_extents
     for slot in desc.cross_slots:
-        pieces_n, pieces_w = [], []
-        for lo, hi in desc.bounds[slot]:
-            lo = max(lo, -W[slot - 1] * (1 - 1e-12))
-            hi = min(hi, W[slot - 1] * (1 - 1e-12))
-            if hi <= lo:
-                continue
-            half = 0.5 * (hi - lo)
-            pieces_n.append(half * x + 0.5 * (hi + lo))
-            pieces_w.append(half * w)
-        if not pieces_n:
+        edge = f.grid.dual_half_extents[slot - 1] * (1 - 1e-12)
+        pieces = [(max(lo, -edge), min(hi, edge)) for lo, hi in desc.bounds[slot]]
+        pieces = [(lo, hi) for lo, hi in pieces if hi > lo]
+        if not pieces:
             raise ValueError(f"slot {slot}: integration bounds fall outside the dual box")
-        out.append((np.concatenate(pieces_n), np.concatenate(pieces_w)))
+        out.append(_gauss_rule(pieces, nodes_per_interval))
     return out
 
 
@@ -567,13 +563,13 @@ def nilpotent_w_profile(
     desc: CrossSectionDescriptor,
     w_nodes: int = 20,
     t_nodes: int = 32,
-    eps_sing: float = EPS_SINGULAR,
 ):
     """(points, weights, hs2 values) over the cross-section quadrature grid.
 
     Points are the tensor product of per-coordinate Gauss-Legendre nodes,
     leading coordinate outermost, stacked as a (P, k) array.  Nodes with
-    |Pf(xi)| <= eps_sing are dropped.
+    |Pf(xi)| <= EPS_SINGULAR are dropped; the shipped descriptors' bounds
+    leave the same gap, so their rules lose no node to it.
     """
     evaluator = _HsEvaluator(f, desc, t_nodes)
     per_coord = _w_nodes(desc, f, w_nodes)
@@ -582,35 +578,34 @@ def nilpotent_w_profile(
     weights = np.stack(np.meshgrid(*(wc for _, wc in per_coord), indexing="ij"), axis=-1)
     points, weights = points.reshape(-1, k), np.prod(weights.reshape(-1, k), axis=1)
     xi = desc.embed(points)
-    keep = np.abs(desc.pfaffian(xi)) > eps_sing
+    keep = np.abs(desc.pfaffian(xi)) > EPS_SINGULAR
     integrals = evaluator.t_integrals(points[keep])
     return points[keep], weights[keep], np.abs(desc.h(xi[:, keep])) * integrals
 
 
-def singular_band_fraction(
-    f: SampledField, desc: CrossSectionDescriptor, eps_sing: float = EPS_SINGULAR
-) -> float | None:
-    """Spectral mass of f inside the excluded band, when the descriptor
-    designates a singular axis; None otherwise."""
+def singular_band_fraction(f: SampledField, desc: CrossSectionDescriptor) -> float | None:
+    """Spectral mass of f inside the excluded band |xi| < EPS_SINGULAR on
+    the descriptor's singular axis; None when it designates none.  The
+    shipped descriptors' bounds leave the same gap."""
     if desc.singular_axis is None:
         return None
-    return axis_band_fraction(f, desc.singular_axis - 1, eps_sing)
+    return axis_band_fraction(f, desc.singular_axis - 1, EPS_SINGULAR)
 
 
-def _plancherel_guard(f: SampledField, desc, eps_sing: float) -> tuple[float, float | None]:
+def _plancherel_guard(f: SampledField, desc) -> float:
     norm_sq = l2_norm_sq(f)
     if norm_sq <= 0.0:
         raise ZeroFieldError("Plancherel ratio undefined for the zero field")
     if boundary_decay(f) > _BOUNDARY_DECAY_LIMIT:
         raise DecayError("field has not decayed at the box boundary")
-    band = singular_band_fraction(f, desc, eps_sing)
+    band = singular_band_fraction(f, desc)
     if band is not None and band >= BAND_MASS_BUDGET:
         raise SingularBandError(
-            f"spectral mass {band:.3e} inside |Pf| <= {eps_sing} exceeds the "
+            f"spectral mass {band:.3e} inside |Pf| <= {EPS_SINGULAR} exceeds the "
             f"{BAND_MASS_BUDGET:.1%} budget",
             excluded_mass=band,
         )
-    return norm_sq, band
+    return norm_sq
 
 
 def nilpotent_plancherel_ratio(
@@ -618,7 +613,6 @@ def nilpotent_plancherel_ratio(
     desc: CrossSectionDescriptor,
     w_nodes: int = 20,
     t_nodes: int = 32,
-    eps_sing: float = EPS_SINGULAR,
     profile=None,
 ) -> float:
     """(int_W hs2(xi) |Pf(xi)| dxi) / ||f||_2^2; tends to 1 for the built-ins.
@@ -626,9 +620,9 @@ def nilpotent_plancherel_ratio(
     Fields carrying >= 0.5% of their spectral mass inside the excluded
     band are rejected with the excluded mass attached to the error.
     """
-    norm_sq, _ = _plancherel_guard(f, desc, eps_sing)
+    norm_sq = _plancherel_guard(f, desc)
     if profile is None:
-        profile = nilpotent_w_profile(f, desc, w_nodes, t_nodes, eps_sing)
+        profile = nilpotent_w_profile(f, desc, w_nodes, t_nodes)
     points, weights, values = profile
     pf = np.abs(desc.pfaffian(desc.embed(points)))
     return float(np.sum(weights * values * pf)) / norm_sq
@@ -640,7 +634,6 @@ def nilpotent_uncertainty(
     spec,
     w_nodes: int = 20,
     t_nodes: int = 32,
-    eps_sing: float = EPS_SINGULAR,
     profile=None,
 ) -> UncertaintyTerms:
     """Uncertainty product on the group, momentum side over the cross-section.
@@ -650,10 +643,10 @@ def nilpotent_uncertainty(
     contribute zero); position side is the Euclidean moment in exponential
     coordinates; lhs = ||f||^{1/a + 1/b} / (4 pi).
     """
-    norm_sq, _ = _plancherel_guard(f, desc, eps_sing)
+    norm_sq = _plancherel_guard(f, desc)
     position = checked_moment(f, 2.0 * spec.a, "position") ** (1.0 / (2.0 * spec.a))
     if profile is None:
-        profile = nilpotent_w_profile(f, desc, w_nodes, t_nodes, eps_sing)
+        profile = nilpotent_w_profile(f, desc, w_nodes, t_nodes)
     points, weights, values = profile
     xi = desc.embed(points)
     pf = np.abs(desc.pfaffian(xi))
@@ -685,10 +678,9 @@ def nilpotent_corpus(grid, seed: int, count: int) -> list[SampledField]:
     rng = np.random.default_rng(seed)
     L = grid.half_extents
     W = grid.dual_half_extents
-    delta = 2.84
-    w_hi = (L[0] - 0.2) / delta
-    alpha = min(1.0, W[0] - delta / w_hi)
-    w_lo = delta / (W[0] - alpha)
+    w_hi = (L[0] - 0.2) / _DECAY_DELTA
+    alpha = min(1.0, W[0] - _DECAY_DELTA / w_hi)
+    w_lo = _DECAY_DELTA / (W[0] - alpha)
     if w_lo > w_hi or alpha < 0.6:
         raise DecayError(
             f"grid (extents {L}, counts {grid.counts}) too coarse for a "
@@ -696,8 +688,8 @@ def nilpotent_corpus(grid, seed: int, count: int) -> list[SampledField]:
         )
     width_ranges = []  # (lo, hi) of the width on axes 1.., checked before any draw
     for a in range(1, grid.dim):
-        w_hi_a = (L[a] - 0.2) / delta
-        w_lo_a = delta / (W[a] - 0.25) if W[a] > 0.25 else np.inf
+        w_hi_a = (L[a] - 0.2) / _DECAY_DELTA
+        w_lo_a = _DECAY_DELTA / (W[a] - 0.25) if W[a] > 0.25 else np.inf
         if w_lo_a > w_hi_a:
             raise DecayError(
                 f"axis {a} of the grid (extent {L[a]}, {grid.counts[a]} points) is too "

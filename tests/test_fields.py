@@ -1,11 +1,13 @@
 """Grid, transform, moment and corpus tests against closed-form oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from groupft.errors import AliasingError
+from groupft.fields import _legendre
 from groupft.fields import test_corpus as corpus
 from groupft.fields import (
     SampledField,
@@ -254,6 +256,22 @@ class TestDiagnostics:
         expected = math.erf(0.05 * np.sqrt(2 * np.pi))
         assert got == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("factor", [1.5, 3.0])
+    def test_axis_band_fraction_rejects_cut_beyond_dual_box(self, factor):
+        g = make_grid(1, [8.0], [64])  # dual half-extent W = 2
+        f = gaussian_packet(g)
+        assert axis_band_fraction(f, 0, 2.0) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(AliasingError):
+            axis_band_fraction(f, 0, factor * 2.0)
+
+
+def test_cached_legendre_rule_is_read_only():
+    x, w = _legendre(10)
+    assert _legendre(10)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path, gauss1d):
@@ -278,4 +296,30 @@ class TestSerialization:
         p = tmp_path / "bad.gfld"
         p.write_bytes(b"not a field")
         with pytest.raises(ValueError):
+            load_field(p)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b[:10], "file ends inside the header"),
+            (lambda b: b[:20], "file ends inside the axis table"),
+            (lambda b: b[:-8], "file ends inside the value block"),
+            (lambda b: b + bytes(8), "8 bytes after the value block"),
+        ],
+        ids=["header", "axis-table", "value-block", "trailing"],
+    )
+    def test_rejects_cut_or_padded_file(self, tmp_path, edit, message):
+        p = tmp_path / "f.gfld"
+        save_field(gaussian_packet(make_grid(2, [4.0, 4.0], [8, 8])), p)
+        assert p.stat().st_size == 1072
+        p.write_bytes(edit(p.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: ") + message):
+            load_field(p)
+
+    def test_rejects_cut_weight_block(self, tmp_path):
+        p = tmp_path / "fk.gfld"
+        g = make_grid(1, [4.0], [4])
+        save_field(SampledField(g, np.ones((4, 3)), np.full(3, 1.0 / 3.0)), p)
+        p.write_bytes(p.read_bytes()[:50])  # 16 header + 16 axis + 8 count + 10 of 24 weight bytes
+        with pytest.raises(ValueError, match="ends inside the weight block"):
             load_field(p)

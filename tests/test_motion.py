@@ -160,6 +160,14 @@ class TestPlancherel:
         with pytest.raises(ZeroFieldError):
             mn_plancherel_ratio(f, lgrid, 8)
 
+    def test_lambda_grid_is_the_composite_gauss_rule(self):
+        lg = make_lambda_grid(16, 6, 10)
+        x, w = np.polynomial.legendre.leggauss(10)
+        edges = np.linspace(0.0, 16.0, 7)
+        halves, mids = (edges[1:] - edges[:-1]) / 2, (edges[1:] + edges[:-1]) / 2
+        assert np.array_equal(lg.nodes, np.concatenate([h * x + m for h, m in zip(halves, mids)]))
+        assert np.array_equal(lg.weights, np.concatenate([h * w for h in halves]))
+
     def test_tail_diagnostic(self, corpus):
         tiny = make_lambda_grid(0.5, panels=2, nodes_per_panel=4)
         with pytest.raises(SpectralTailError):

@@ -1,6 +1,7 @@
 """Thread-like nilpotent groups: HS integrand against a brute-force oracle,
 shipped descriptor files against the reference algebra, loader checks."""
 
+import dataclasses
 import json
 import math
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from groupft import nilpotent as nil
-from groupft.errors import DecayError, IllConditionedError, SingularBandError
+from groupft.errors import DecayError, IllConditionedError, SingularBandError, ZeroFieldError
 from groupft.fields import MomentSpec, SampledField, gaussian_packet, l2_norm_sq, make_grid
 
 from .oracles import brute_force_hs_norm_sq
@@ -340,6 +341,20 @@ def test_plancherel_guard_rejects_band_mass(t3_grid):
     assert info.value.excluded_mass == pytest.approx(0.14, abs=0.005)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, desc: nil.nilpotent_plancherel_ratio(f, desc),
+        lambda f, desc: nil.nilpotent_uncertainty(f, desc, MomentSpec(1.0, 1.0)),
+    ],
+    ids=["plancherel", "uncertainty"],
+)
+def test_zero_field_rejected(t3_grid, call):
+    f = SampledField(t3_grid, np.zeros(t3_grid.counts))
+    with pytest.raises(ZeroFieldError):
+        call(f, nil.threadlike_descriptor(3))
+
+
 def test_plancherel_guard_rejects_undecayed_field(t3_grid):
     f = gaussian_packet(t3_grid, widths=3.0)
     with pytest.raises(DecayError):
@@ -350,3 +365,38 @@ def test_corpus_rejects_coarse_axis_before_drawing():
     grid = make_grid(3, [5.0] * 3, [48, 16, 48])  # axis 1: width 5.16 needed, 1.69 allowed
     with pytest.raises(DecayError, match="axis 1"):
         nil.nilpotent_corpus(grid, 0, 2)
+
+
+@pytest.fixture(scope="module")
+def narrow_field():
+    """A field whose slot-1 dual half-extent, 1.0, lies inside the shipped bound 3.2."""
+    return SampledField(make_grid(3, [4.0] * 3, [16] * 3), np.zeros((16,) * 3))
+
+
+def explicit_rule(pieces, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    halves = [(hi - lo) / 2 for lo, hi in pieces]
+    nodes = [h * x + (hi + lo) / 2 for h, (lo, hi) in zip(halves, pieces)]
+    return np.concatenate(nodes), np.concatenate([h * w for h in halves])
+
+
+EDGE = 1.0 * (1 - 1e-12)  # the dual half-extent of narrow_field, shrunk as _w_nodes does
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [((-3.2, -0.05), (0.05, 3.2)), ((-3.2, -0.05), (0.05, 1.5), (1.5, 3.2))],
+    ids=["clipped", "outside-piece-dropped"],
+)
+def test_w_nodes_clip_bounds_to_dual_box(narrow_field, bounds):
+    desc = dataclasses.replace(nil.threadlike_descriptor(3), bounds={1: bounds})
+    ((nodes, weights),) = nil._w_nodes(desc, narrow_field, 6)
+    want_nodes, want_weights = explicit_rule([(-EDGE, -0.05), (0.05, EDGE)], 6)
+    assert np.array_equal(nodes, want_nodes)
+    assert np.array_equal(weights, want_weights)
+
+
+def test_w_nodes_reject_bounds_outside_dual_box(narrow_field):
+    desc = dataclasses.replace(nil.threadlike_descriptor(3), bounds={1: ((1.5, 3.0),)})
+    with pytest.raises(ValueError, match="integration bounds fall outside the dual box"):
+        nil._w_nodes(desc, narrow_field, 6)
