@@ -5,10 +5,11 @@ For exponents a, b >= 1 the inequality under test is
     n * ||f||_2^(1/a + 1/b) / (4 pi)
         <= (int |x|^{2a} |f|^2 dx)^{1/2a} * (int |xi|^{2b} |fhat|^2 dxi)^{1/2b}
 
-with equality at a = b = 1 exactly for Gaussians.  The decomposition into
-lhs / position term / momentum term produced here is reused verbatim by
-the product-group, motion-group and nilpotent modules (only the momentum
-side changes group by group).
+with equality at a = b = 1 exactly for Gaussians.  ``_uncertainty_terms``
+is the one assembly of lhs / position term / momentum term for every group
+family, which passes only its momentum moment (its dual integral of
+|xi|^{2b}) and the divisor of its lhs (4 pi / n above); ``_nonzero_norm_sq``
+is the one zero-field rejection.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class UncertaintyTerms:
     ratio: float
 
 
-def _terms(lhs: float, position: float, momentum: float) -> UncertaintyTerms:
-    return UncertaintyTerms(lhs, position, momentum, position * momentum / lhs)
-
-
 def checked_moment(f: SampledField, exponent: float, label: str) -> float:
     """weighted_moment plus the boundary-mass divergence guard."""
     frac = moment_boundary_fraction(f, exponent)
@@ -61,22 +58,38 @@ def checked_moment(f: SampledField, exponent: float, label: str) -> float:
     return weighted_moment(f, exponent)
 
 
+def _nonzero_norm_sq(f: SampledField) -> float:
+    """l2_norm_sq(f); raises ZeroFieldError when it is zero, where no ratio is defined."""
+    norm_sq = l2_norm_sq(f)
+    if norm_sq <= 0.0:
+        raise ZeroFieldError("ratio undefined for the zero field")
+    return norm_sq
+
+
+def _uncertainty_terms(
+    f: SampledField, spec: MomentSpec, norm_sq: float, momentum_moment: float, lhs_divisor: float
+) -> UncertaintyTerms:
+    """position = checked_moment(f, 2a)^(1/2a), momentum = momentum_moment^(1/2b),
+    lhs = norm_sq^((1/a + 1/b)/2) / lhs_divisor.  A divisor such as 4 pi / n is
+    exact in floating point for n = 1, 2, 4, so lhs rounds once there.  Callers evaluate
+    the momentum moment first, so where both moments diverge the momentum one is reported."""
+    position = checked_moment(f, 2.0 * spec.a, "position") ** (1.0 / (2.0 * spec.a))
+    momentum = momentum_moment ** (1.0 / (2.0 * spec.b))
+    lhs = norm_sq ** (0.5 * (1.0 / spec.a + 1.0 / spec.b)) / lhs_divisor
+    return UncertaintyTerms(lhs, position, momentum, position * momentum / lhs)
+
+
 def rn_uncertainty(f: SampledField, spec: MomentSpec) -> UncertaintyTerms:
     """Evaluate both sides of the R^n inequality for one field.
 
     At a = b = 1 this is the plain Heisenberg product (same code path).
+    Momentum moment int |xi|^{2b} |fhat|^2 dxi, lhs divisor 4 pi / n.
     Raises ZeroFieldError for ||f|| = 0 and MomentDivergenceError when a
     moment integrand has not decayed inside the box.
     """
-    norm_sq = l2_norm_sq(f)
-    if norm_sq <= 0.0:
-        raise ZeroFieldError("uncertainty ratio undefined for the zero field")
-    n = f.grid.dim
-    position = checked_moment(f, 2.0 * spec.a, "position") ** (1.0 / (2.0 * spec.a))
-    fhat = euclidean_ft(f)
-    momentum = checked_moment(fhat, 2.0 * spec.b, "frequency") ** (1.0 / (2.0 * spec.b))
-    lhs = n * norm_sq ** (0.5 * (1.0 / spec.a + 1.0 / spec.b)) / (4.0 * np.pi)
-    return _terms(lhs, position, momentum)
+    norm_sq = _nonzero_norm_sq(f)
+    momentum = checked_moment(euclidean_ft(f), 2.0 * spec.b, "frequency")
+    return _uncertainty_terms(f, spec, norm_sq, momentum, 4.0 * np.pi / f.grid.dim)
 
 
 def _dilate(f: SampledField, t: float) -> SampledField:
@@ -93,18 +106,11 @@ def _dilate(f: SampledField, t: float) -> SampledField:
         return f
     g = f.grid
     fhat = euclidean_ft(f)
-    nodes = []
-    for i in range(g.dim):
-        x = t * g.axis(i)
-        x[np.abs(x) > g.half_extents[i]] = np.nan  # marked, zeroed below
-        nodes.append(x)
-    # zero rows of the phase matrices at masked nodes via nan -> 0 trick
-    clean = [np.nan_to_num(x) for x in nodes]
-    vals = tensor_dft(fhat, clean, sign=+1.0)
-    for i, x in enumerate(nodes):
-        idx = [slice(None)] * g.dim
-        idx[i] = np.isnan(x)
-        vals[tuple(idx)] = 0.0
+    nodes = [t * g.axis(i) for i in range(g.dim)]
+    outside = [np.abs(x) > half for x, half in zip(nodes, g.half_extents)]
+    vals = tensor_dft(fhat, [np.where(m, 0.0, x) for x, m in zip(nodes, outside)], sign=+1.0)
+    for i, m in enumerate(outside):  # nodes outside the box were evaluated at 0: zero them
+        vals[(slice(None),) * i + (m,)] = 0.0
     out = SampledField(g, vals * t ** (g.dim / 2.0))
     if boundary_decay(out) > _BOUNDARY_DECAY_LIMIT:
         raise DecayError(f"scale t={t} pushes mass onto the box boundary")
@@ -118,9 +124,7 @@ def dilation_sweep(f: SampledField, spec: MomentSpec, scales) -> list[Uncertaint
     when a = b = 1 and exceeds 1 otherwise, which makes the sweep a cheap
     sharpness probe.
     """
-    norm_sq = l2_norm_sq(f)
-    if norm_sq <= 0.0:
-        raise ZeroFieldError("dilation sweep undefined for the zero field")
+    norm_sq = _nonzero_norm_sq(f)
     out = []
     for t in scales:
         ft = _dilate(f, float(t))

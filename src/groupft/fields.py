@@ -423,9 +423,12 @@ def axis_band_fraction(f: SampledField, axis: int, cut: float) -> float:
     [-cut, cut], so bands much narrower than the dual grid spacing are
     still resolved.  A cut beyond the dual half-extent raises
     AliasingError: the grid cannot tell those frequencies from aliases.
+    A negative or NaN cut raises ValueError.
     """
     if f.has_group_axis:
         raise ValueError("axis_band_fraction applies to spatial-only fields")
+    if not cut >= 0.0:
+        raise ValueError(f"band cut must be >= 0, got {cut}")
     if cut > f.grid.dual_half_extents[axis] * (1.0 + 1e-12):
         raise AliasingError(f"band cut {cut} beyond the dual half-extent of axis {axis}")
     xi, w = _gauss_rule([(-cut, cut)], 64)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, DecayError, SpectralTailError, ZeroFieldError
-from .euclidean import UncertaintyTerms, _terms, checked_moment
+from .euclidean import UncertaintyTerms, _nonzero_norm_sq, _uncertainty_terms
 from .fields import (
     _BOUNDARY_DECAY_LIMIT,
     Grid,
@@ -327,9 +327,7 @@ def mn_spectral_tail_fraction(f: MotionField, lam_max: float) -> float:
 
 
 def _quadrature_guard(f: MotionField, lgrid: LambdaGrid) -> float:
-    norm_sq = l2_norm_sq(f.sampled)
-    if norm_sq <= 0.0:
-        raise ZeroFieldError("motion-group ratio undefined for the zero field")
+    norm_sq = _nonzero_norm_sq(f.sampled)
     if boundary_decay(f.sampled) > _BOUNDARY_DECAY_LIMIT:
         raise DecayError("field has not decayed at the spatial box boundary")
     tail = mn_spectral_tail_fraction(f, lgrid.lam_max)
@@ -339,6 +337,11 @@ def _quadrature_guard(f: MotionField, lgrid: LambdaGrid) -> float:
             f"{SPECTRAL_TAIL_BUDGET:.0e}"
         )
     return norm_sq
+
+
+def _lambda_moment(lgrid: LambdaGrid, profile: np.ndarray, power: float) -> float:
+    """c_2 int lambda^power ||fhat(lambda)||_HS^2 lambda dlambda on the lambda rule."""
+    return PLANCHEREL_C2 * float(np.sum(lgrid.weights * lgrid.nodes ** (power + 1.0) * profile))
 
 
 def mn_plancherel_ratio(
@@ -352,8 +355,7 @@ def mn_plancherel_ratio(
     norm_sq = _quadrature_guard(f, lgrid)
     if profile is None:
         profile = mn_hs_profile(f, lgrid.nodes, m_max)
-    integral = float(np.sum(lgrid.weights * lgrid.nodes * profile))
-    return PLANCHEREL_C2 * integral / norm_sq
+    return _lambda_moment(lgrid, profile, 0.0) / norm_sq
 
 
 def d_z1(f: MotionField) -> MotionField:
@@ -418,18 +420,14 @@ def mn_uncertainty(
 
     with kappa the measured Plancherel ratio of the same field, so the
     inequality is tested in the normalisation where Plancherel holds
-    exactly.
+    exactly.  The momentum moment passed on is the lambda integral over
+    kappa, and the lhs divisor 2 sqrt(c_2).
     """
     norm_sq = _quadrature_guard(f, lgrid)
     if profile is None:
         profile = mn_hs_profile(f, lgrid.nodes, m_max)
-    kappa = PLANCHEREL_C2 * float(np.sum(lgrid.weights * lgrid.nodes * profile)) / norm_sq
+    kappa = _lambda_moment(lgrid, profile, 0.0) / norm_sq
     if kappa <= 0.0:
         raise ZeroFieldError("empty spectral profile")
-    position = checked_moment(f.sampled, 2.0 * spec.a, "position") ** (1.0 / (2.0 * spec.a))
-    mom_integral = PLANCHEREL_C2 * float(
-        np.sum(lgrid.weights * lgrid.nodes ** (2.0 * spec.b + 1.0) * profile)
-    )
-    momentum = (mom_integral / kappa) ** (1.0 / (2.0 * spec.b))
-    lhs = norm_sq ** (0.5 * (1.0 / spec.a + 1.0 / spec.b)) / (2.0 * np.sqrt(PLANCHEREL_C2))
-    return _terms(lhs, position, momentum)
+    momentum = _lambda_moment(lgrid, profile, 2.0 * spec.b) / kappa
+    return _uncertainty_terms(f.sampled, spec, norm_sq, momentum, 2.0 * np.sqrt(PLANCHEREL_C2))

@@ -47,13 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DecayError,
-    IllConditionedError,
-    SingularBandError,
-    ZeroFieldError,
-)
-from .euclidean import UncertaintyTerms, _terms, checked_moment
+from .errors import DecayError, IllConditionedError, SingularBandError
+from .euclidean import UncertaintyTerms, _nonzero_norm_sq, _uncertainty_terms
 from .exprs import Expression, parse_expression
 from .fields import (
     _BOUNDARY_DECAY_LIMIT,
@@ -90,6 +85,10 @@ __all__ = [
 
 EPS_SINGULAR = 0.05
 BAND_MASS_BUDGET = 0.005
+_ALGEBRA_TOL = 1e-12  # structure-constant identities hold to this
+_RANK_TOL = 1e-9  # singular values below it (relative to max(1, |B|)) count as zero
+_RANK_GUARD = 100.0  # a singular value within this factor of the cut leaves the rank undecided
+_VALIDATION_SEED, _VALIDATION_SAMPLES = 0, 25  # cross-section points validate_descriptor draws
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 _BLOCK_BYTES = 16 * 2**20  # working memory of one np.einsum over a block of points or grid slices
 _GRID_LETTERS = string.ascii_lowercase[:-1]  # einsum index of grid axis i
@@ -120,20 +119,20 @@ class LieAlgebraData:
         return self.brackets @ np.asarray(xi, dtype=float)
 
 
-def algebra_violations(lie: LieAlgebraData, tol: float = 1e-12) -> list[str]:
+def algebra_violations(lie: LieAlgebraData) -> list[str]:
     """Antisymmetry, Jacobi and strong-Malcev (c_{ij}^k = 0 for k >= j) checks."""
     out = []
     c = lie.brackets
     n = lie.dim
-    if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > tol:
+    if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > _ALGEBRA_TOL:
         out.append("antisymmetry fails")
     jac = np.einsum("ijm,mkl->ijkl", c, c)
     jacobi = jac + np.einsum("jkm,mil->ijkl", c, c) + np.einsum("kim,mjl->ijkl", c, c)
-    if np.max(np.abs(jacobi)) > tol:
+    if np.max(np.abs(jacobi)) > _ALGEBRA_TOL:
         out.append("Jacobi identity fails")
     for i in range(n):
         for j in range(n):
-            bad = np.nonzero(np.abs(c[i, j, j:]) > tol)[0]
+            bad = np.nonzero(np.abs(c[i, j, j:]) > _ALGEBRA_TOL)[0]
             if bad.size:
                 out.append(
                     f"not adapted to the ascending series: c[{i + 1},{j + 1}]^"
@@ -162,54 +161,37 @@ class JumpData:
     skew: np.ndarray
 
 
-def _rank(mat: np.ndarray, tol: float, guard: float) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    ambiguous = (s > tol / guard) & (s < tol * guard)
+def _guarded_svd(mat: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """(singular values, V^H) of mat; raises IllConditionedError when a singular
+    value lies within a factor _RANK_GUARD of ``cut``, where a rank is undecided."""
+    _, s, vh = np.linalg.svd(mat)
+    ambiguous = (s > cut / _RANK_GUARD) & (s < cut * _RANK_GUARD)
     if np.any(ambiguous):
         raise IllConditionedError(
             f"singular value {s[ambiguous][0]:.3e} sits inside the rank-decision "
-            f"window around {tol:.1e}"
+            f"window around {cut:.1e}"
         )
-    return int(np.sum(s > tol))
+    return s, vh
 
 
-def jump_indices(lie: LieAlgebraData, xi, tol: float = 1e-9, guard: float = 100.0) -> JumpData:
+def jump_indices(lie: LieAlgebraData, xi) -> JumpData:
     """Jump set of xi: indices j where ker(B_xi) + span(X_1..X_j) grows.
 
     The rank decisions are guarded: singular values within a factor
-    ``guard`` of the threshold raise IllConditionedError instead of
+    _RANK_GUARD of the threshold raise IllConditionedError instead of
     silently picking an orbit dimension.
     """
     xi = np.asarray(xi, dtype=float)
     n = lie.dim
     B = lie.skew_form(xi)
-    scale = max(1.0, float(np.max(np.abs(B))))
-    cut = tol * scale
-    if np.max(np.abs(B)) == 0.0:
-        kernel = np.eye(n)
-    else:
-        u, s, vh = np.linalg.svd(B)
-        ambiguous = (s > cut / guard) & (s < cut * guard)
-        if np.any(ambiguous):
-            raise IllConditionedError(
-                f"kernel of the skew form is ill determined (singular value "
-                f"{s[ambiguous][0]:.3e})"
-            )
-        kernel = vh[s <= cut].T
-    jumps = []
-    prev = _rank(kernel, cut, guard) if kernel.size else 0
-    basis = kernel
-    for j in range(n):
-        ej = np.zeros((n, 1))
-        ej[j, 0] = 1.0
-        basis = np.hstack([basis, ej]) if basis.size else ej
-        cur = _rank(basis, cut, guard)
-        if cur > prev:
-            jumps.append(j + 1)
-        prev = cur
-    S = tuple(jumps)
+    cut = _RANK_TOL * max(1.0, float(np.max(np.abs(B))))
+    s, vh = _guarded_svd(B, cut)
+    kernel = vh[s <= cut].T
+    ranks = []
+    for j in range(n + 1):  # rank of ker(B_xi) + span(X_1..X_j)
+        s_j, _ = _guarded_svd(np.hstack([kernel, np.eye(n)[:, :j]]), cut)
+        ranks.append(int(np.sum(s_j > cut)))
+    S = tuple(j for j in range(1, n + 1) if ranks[j] > ranks[j - 1])
     T = tuple(sorted(set(range(1, n + 1)) - set(S)))
     idx = np.array([j - 1 for j in S], dtype=int)
     return JumpData(S, T, B[np.ix_(idx, idx)])
@@ -593,9 +575,7 @@ def singular_band_fraction(f: SampledField, desc: CrossSectionDescriptor) -> flo
 
 
 def _plancherel_guard(f: SampledField, desc) -> float:
-    norm_sq = l2_norm_sq(f)
-    if norm_sq <= 0.0:
-        raise ZeroFieldError("Plancherel ratio undefined for the zero field")
+    norm_sq = _nonzero_norm_sq(f)
     if boundary_decay(f) > _BOUNDARY_DECAY_LIMIT:
         raise DecayError("field has not decayed at the box boundary")
     band = singular_band_fraction(f, desc)
@@ -641,10 +621,10 @@ def nilpotent_uncertainty(
     momentum^(2b) = int_W |xi|^{2b} hs2(xi) / (|h|^b |Pf|^{b-1}) dxi with
     |xi| the Euclidean norm of the cross-section point (vanishing slots
     contribute zero); position side is the Euclidean moment in exponential
-    coordinates; lhs = ||f||^{1/a + 1/b} / (4 pi).
+    coordinates; lhs = ||f||^{1/a + 1/b} / (4 pi).  That integral is the
+    momentum moment passed on, and 4 pi the lhs divisor.
     """
     norm_sq = _plancherel_guard(f, desc)
-    position = checked_moment(f, 2.0 * spec.a, "position") ** (1.0 / (2.0 * spec.a))
     if profile is None:
         profile = nilpotent_w_profile(f, desc, w_nodes, t_nodes)
     points, weights, values = profile
@@ -652,10 +632,8 @@ def nilpotent_uncertainty(
     pf = np.abs(desc.pfaffian(xi))
     habs = np.abs(desc.h(xi))
     r2b = np.sum(xi**2, axis=0) ** spec.b
-    total = float(np.sum(weights * r2b * values / (habs**spec.b * pf ** (spec.b - 1.0))))
-    momentum = total ** (1.0 / (2.0 * spec.b))
-    lhs = norm_sq ** (0.5 * (1.0 / spec.a + 1.0 / spec.b)) / (4.0 * np.pi)
-    return _terms(lhs, position, momentum)
+    momentum = float(np.sum(weights * r2b * values / (habs**spec.b * pf ** (spec.b - 1.0))))
+    return _uncertainty_terms(f, spec, norm_sq, momentum, 4.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -785,10 +763,7 @@ def load_descriptor_file(path) -> tuple[CrossSectionDescriptor, LieAlgebraData |
 
 
 def validate_descriptor(
-    desc: CrossSectionDescriptor,
-    algebra: LieAlgebraData | None = None,
-    seed: int = 0,
-    samples: int = 25,
+    desc: CrossSectionDescriptor, algebra: LieAlgebraData | None = None
 ) -> list[str]:
     """Sampled invariant checks; returns violation messages (empty = valid).
 
@@ -797,13 +772,13 @@ def validate_descriptor(
     against the vanishing slots, at sampled cross-section points.
     """
     report = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_VALIDATION_SEED)
     if algebra is not None:
         report.extend(algebra_violations(algebra))
         if algebra.dim != desc.n:
             report.append(f"algebra dimension {algebra.dim} != descriptor n {desc.n}")
     n_axes = len(desc.vanishing)
-    for _ in range(samples):
+    for _ in range(_VALIDATION_SAMPLES):
         xi_cross = np.array(
             [rng.uniform(*desc.bounds[slot][rng.integers(len(desc.bounds[slot]))])
              for slot in desc.cross_slots]

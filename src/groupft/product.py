@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compact import CircleDual, FiniteGroupData
-from .errors import ZeroFieldError
-from .euclidean import UncertaintyTerms, _terms, checked_moment
+from .euclidean import UncertaintyTerms, _nonzero_norm_sq, _uncertainty_terms, checked_moment
 from .fields import Grid, SampledField, euclidean_ft, l2_norm_sq
 from .fields import test_corpus as _spatial_corpus
 
@@ -123,23 +122,17 @@ def product_ft(pf: ProductField) -> ProductDualField:
 
 def product_plancherel_ratio(pf: ProductField) -> float:
     """(int sum_sigma d_sigma ||fhat(y, sigma)||_HS^2 dy) / ||f||_2^2."""
-    norm_sq = l2_norm_sq(pf.base)
-    if norm_sq <= 0.0:
-        raise ZeroFieldError("Plancherel ratio undefined for the zero field")
+    norm_sq = _nonzero_norm_sq(pf.base)
     dual = product_ft(pf)
     return float(dual.hs_density().sum()) * dual.dual_grid.cell_volume / norm_sq
 
 
 def product_uncertainty(pf: ProductField, spec) -> UncertaintyTerms:
-    """Uncertainty product on R^n x K; d_sigma enters the dual measure."""
-    norm_sq = l2_norm_sq(pf.base)
-    if norm_sq <= 0.0:
-        raise ZeroFieldError("uncertainty ratio undefined for the zero field")
-    n = pf.base.grid.dim
-    position = checked_moment(pf.base, 2.0 * spec.a, "position") ** (1.0 / (2.0 * spec.a))
+    """Uncertainty product on R^n x K; d_sigma enters the dual measure: momentum
+    moment int |y|^{2b} sum_sigma d_sigma ||fhat(y, sigma)||_HS^2 dy, lhs divisor 4 pi / n."""
+    norm_sq, n = _nonzero_norm_sq(pf.base), pf.base.grid.dim
     dual = product_ft(pf)
     # a field on the dual grid whose |.|^2 is the HS density carries the frequency moment
     amplitude = SampledField(dual.dual_grid, np.sqrt(dual.hs_density()))
-    momentum = checked_moment(amplitude, 2.0 * spec.b, "frequency") ** (1.0 / (2.0 * spec.b))
-    lhs = n * norm_sq ** (0.5 * (1.0 / spec.a + 1.0 / spec.b)) / (4.0 * np.pi)
-    return _terms(lhs, position, momentum)
+    momentum = checked_moment(amplitude, 2.0 * spec.b, "frequency")
+    return _uncertainty_terms(pf.base, spec, norm_sq, momentum, 4.0 * np.pi / n)

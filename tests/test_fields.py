@@ -264,6 +264,13 @@ class TestDiagnostics:
         with pytest.raises(AliasingError):
             axis_band_fraction(f, 0, factor * 2.0)
 
+    @pytest.mark.parametrize("cut", [-0.05, math.nan])
+    def test_axis_band_fraction_rejects_negative_or_nan_cut(self, cut):
+        f = gaussian_packet(make_grid(1, [8.0], [64]))
+        assert axis_band_fraction(f, 0, 0.0) == 0.0
+        with pytest.raises(ValueError, match="band cut"):
+            axis_band_fraction(f, 0, cut)
+
 
 def test_cached_legendre_rule_is_read_only():
     x, w = _legendre(10)

@@ -205,6 +205,23 @@ def test_plancherel_n3_default_nodes(t3_member):
     assert abs(ratio - 1.0) < 2e-4
 
 
+def test_plancherel_and_inequality_n4():
+    """n = 4 member 0 on 48^4, extent 5.  The ratio is not converged at the
+    default nodes (1.011, against 1.19 at w=8/t=16), so this checks that it
+    approaches 1 as the nodes grow, and the inequality at (1, 1) and (2, 2)."""
+    f = nil.nilpotent_corpus(make_grid(4, [5.0] * 4, [48] * 4), 0, 1)[0]
+    desc = nil.threadlike_descriptor(4)
+    coarse_profile = nil.nilpotent_w_profile(f, desc, 8, 16)
+    coarse = nil.nilpotent_plancherel_ratio(f, desc, profile=coarse_profile)
+    profile = nil.nilpotent_w_profile(f, desc)
+    ratio = nil.nilpotent_plancherel_ratio(f, desc, profile=profile)
+    assert abs(ratio - 1.0) < 2e-2
+    assert abs(ratio - 1.0) < abs(coarse - 1.0)
+    for ab in (1.0, 2.0):
+        terms = nil.nilpotent_uncertainty(f, desc, MomentSpec(ab, ab), profile=profile)
+        assert terms.ratio >= 1.0 - 1e-4
+
+
 def test_profile_sums_match_pointwise_loop(t3_member):
     f, desc, spec = t3_member, nil.threadlike_descriptor(3), MomentSpec(2.0, 1.5)
     profile = nil.nilpotent_w_profile(f, desc, 4, T_NODES)

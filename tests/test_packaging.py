@@ -1,6 +1,9 @@
-"""pyproject.toml promises only what the source tree ships."""
+"""pyproject.toml promises only what the source tree ships, and the names the
+package exports or the benchmark traces still exist."""
 
+import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,32 @@ def test_console_scripts_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name!r}: {target} is not callable"
+
+
+def test_exported_names_resolve():
+    names = [m.name for m in pkgutil.iter_modules(importlib.import_module("groupft").__path__)]
+    assert names
+    for module in (importlib.import_module(f"groupft.{name}") for name in names):
+        for export in getattr(module, "__all__", ()):
+            assert hasattr(module, export), f"{module.__name__}.__all__ names missing {export!r}"
+
+
+def benchmark_targets() -> dict:
+    """TARGETS of perfbench/spans.py, read from its source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
+
+
+def test_benchmark_targets_resolve():
+    targets = benchmark_targets()
+    assert targets
+    for span, (module_name, attr) in targets.items():
+        obj = importlib.import_module(f"groupft.{module_name}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"span {span!r}: groupft.{module_name}.{attr} is missing"
+            obj = getattr(obj, part)
