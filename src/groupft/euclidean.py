@@ -87,7 +87,11 @@ def rn_uncertainty(f: SampledField, spec: MomentSpec) -> UncertaintyTerms:
     Raises ZeroFieldError for ||f|| = 0 and MomentDivergenceError when a
     moment integrand has not decayed inside the box.
     """
-    norm_sq = _nonzero_norm_sq(f)
+    return _rn_terms(f, spec, _nonzero_norm_sq(f))
+
+
+def _rn_terms(f: SampledField, spec: MomentSpec, norm_sq: float) -> UncertaintyTerms:
+    """rn_uncertainty for a field whose nonzero ||f||^2 the caller has taken."""
     momentum = checked_moment(euclidean_ft(f), 2.0 * spec.b, "frequency")
     return _uncertainty_terms(f, spec, norm_sq, momentum, 4.0 * np.pi / f.grid.dim)
 
@@ -128,7 +132,8 @@ def dilation_sweep(f: SampledField, spec: MomentSpec, scales) -> list[Uncertaint
     out = []
     for t in scales:
         ft = _dilate(f, float(t))
-        if abs(l2_norm_sq(ft) - norm_sq) > 1e-8 * norm_sq:
+        ft_norm_sq = l2_norm_sq(ft)
+        if abs(ft_norm_sq - norm_sq) > 1e-8 * norm_sq:
             raise DecayError(f"scale t={t} does not preserve the L2 norm on this grid")
-        out.append(rn_uncertainty(ft, spec))
+        out.append(_rn_terms(ft, spec, ft_norm_sq))
     return out

@@ -22,6 +22,13 @@ over z2, a reduction over z1 and one FFT over the circle grid.  The full
 z1 x z2 x circle plane wave is never formed, and profiles stack the active
 rows of all their fields so the factors are built once per lambda.
 
+Both the HS-profiles and the spectral-tail guard work on circle modes
+c_m(z), one FFT over the uniform circle grid, and skip the modes that carry
+no mass by one rule (``_carrying_modes``: norm below 1e-14 of the peak).
+Parseval over the circle grid, sum_k |F(xi, theta_k)|^2 / n_theta =
+sum_m |C_m(xi)|^2, lets the tail transform only the carrying mode planes
+instead of every circle slice.
+
 The formulas keep the general-n shape (weights lambda^{n-1}, constant
 c_n = 2/(2^{n/2} Gamma(n/2))) specialised to n = 2, where the small
 subgroup is trivial and the sigma-sum collapses: PLANCHEREL_C2 = 1.
@@ -90,6 +97,10 @@ class MotionField:
             raise ValueError("motion-group fields need a 2-D spatial grid")
         if not self.sampled.has_group_axis:
             raise ValueError("motion-group fields need a circle axis")
+        w = self.sampled.group_weights
+        # the circle-mode transforms below are exact only for uniform weights
+        if np.any(np.abs(w * w.size - 1.0) > 1e-15):
+            raise ValueError("motion-group fields need uniform circle weights 1/n_theta")
 
     @property
     def grid(self) -> Grid:
@@ -188,12 +199,27 @@ def pi_matrix_element(lam: float, z, m: int, n: int, n_theta: int = 128) -> comp
     return complex(np.mean(wave * np.exp(1j * (m - n) * gam)))
 
 
+def _circle_dft(f: MotionField) -> np.ndarray:
+    """n_theta c_m(z) = sum_k f(z, theta_k) e^{-i m theta_k} for every m, in FFT order."""
+    return np.fft.fft(f.values, axis=-1)
+
+
 def _theta_coefficients(f: MotionField, m_max: int) -> np.ndarray:
-    """c_m(z) = (1/n_theta) sum_k f(z, theta_k) e^{-i m theta_k}, |m| <= m_max."""
-    n_theta = f.theta_count
-    coef = np.fft.fft(f.values, axis=-1) / n_theta
-    idx = np.arange(-m_max, m_max + 1) % n_theta
-    return coef[..., idx]
+    """Circle modes c_m(z) for |m| <= m_max, in order m = -m_max .. m_max."""
+    idx = np.arange(-m_max, m_max + 1) % f.theta_count
+    return np.take(_circle_dft(f), idx, axis=-1) / f.theta_count
+
+
+def _carrying_modes(coef: np.ndarray) -> np.ndarray:
+    """Mask over the last axis of the circle modes whose coefficient carries mass.
+
+    Modes below 1e-14 of the peak norm contribute < 1e-28 relative mass and
+    are skipped by the HS-profiles and the spectral tail alike.
+    """
+    parts = coef.reshape(-1, coef.shape[-1]).view(np.float64)  # (re, im) of each mode
+    sq = np.einsum("ik,ik->k", parts, parts)
+    norms = np.sqrt(sq[0::2] + sq[1::2])
+    return norms > 1e-14 * max(norms.max(), 1e-300)
 
 
 def _check_truncation(f: MotionField, lam: float, m_max: int) -> None:
@@ -255,17 +281,6 @@ def mn_hs_norm_sq(op: OperatorMatrix) -> float:
     return float(np.sum(np.abs(op.matrix) ** 2))
 
 
-def _active_rows(coef: np.ndarray, m_max: int) -> np.ndarray:
-    """Row indices m whose theta coefficient carries any mass.
-
-    Rows below 1e-14 of the peak contribute < 1e-28 relative HS mass and
-    are skipped in profile sweeps.
-    """
-    norms = np.sqrt(np.sum(np.abs(coef) ** 2, axis=tuple(range(coef.ndim - 1))))
-    keep = norms > 1e-14 * max(norms.max(), 1e-300)
-    return np.arange(-m_max, m_max + 1)[keep]
-
-
 def _hs_profiles(fields: list, lambdas: np.ndarray, m_max: int) -> np.ndarray:
     """HS-norm profiles, shape (fields, lambdas), through one stacked row set.
 
@@ -282,9 +297,9 @@ def _hs_profiles(fields: list, lambdas: np.ndarray, m_max: int) -> np.ndarray:
             )
         _check_truncation(f, float(lambdas.min()), m_max)
         coef = _theta_coefficients(f, m_max)
-        rows = _active_rows(coef, m_max)
-        coefs.append(np.moveaxis(coef[..., rows + m_max], -1, 0))
-        rowsets.append(rows)
+        keep = _carrying_modes(coef)
+        coefs.append(np.moveaxis(coef[..., keep], -1, 0))
+        rowsets.append(np.arange(-m_max, m_max + 1)[keep])
     rows = np.concatenate(rowsets)
     if rows.size == 0:
         return np.zeros((len(fields), lambdas.size))
@@ -314,14 +329,25 @@ def mn_hs_profiles(fields, lambdas, m_max: int) -> np.ndarray:
 
 
 def mn_spectral_tail_fraction(f: MotionField, lam_max: float) -> float:
-    """Euclidean spectral mass of f at radii |xi| > lam_max / (2 pi)."""
-    fhat = euclidean_ft(f.sampled)
-    dens = np.abs(fhat.values) ** 2
-    dens = np.tensordot(dens, f.sampled.group_weights, axes=(-1, 0))
-    total = float(dens.sum())
-    if total == 0.0:
+    """Euclidean spectral mass of f at radii |xi| > lam_max / (2 pi).
+
+    The density sum_k |fhat(xi, theta_k)|^2 / n_theta is taken, by Parseval
+    over the uniform circle grid, as sum_m |C_m(xi)|^2 with C_m the
+    Euclidean transform of the circle mode c_m(z).  Only the modes that
+    carry mass (the HS-profiles' rule) are transformed, so a field with a
+    few circle modes costs a few planar FFTs.  The zero field gives 0.
+    """
+    coef = _circle_dft(f)  # n_theta c_m: the fraction and the mode rule are scale free
+    keep = _carrying_modes(coef)
+    if not keep.any():
         return 0.0
-    r2 = fhat.grid.radius_sq()
+    if not keep.all():  # drop the massless planes; rebinding frees the full array
+        coef = np.compress(keep, coef, axis=-1)
+    planes = euclidean_ft(SampledField(f.grid, coef, np.ones(coef.shape[-1])))
+    parts = planes.values.view(np.float64)
+    dens = np.einsum("...k,...k->...", parts, parts)
+    total = float(dens.sum())
+    r2 = planes.grid.radius_sq()
     cut = (lam_max / (2.0 * np.pi)) ** 2
     return float(dens[r2 > cut].sum()) / total
 
@@ -350,7 +376,9 @@ def mn_plancherel_ratio(
     """c_2 int ||fhat(lambda)||_HS^2 lambda dlambda / ||f||_2^2.
 
     Function-independent by the Plancherel theorem; the value measures the
-    transform-convention constant kappa and is reported raw.
+    transform-convention constant kappa and is reported raw.  With
+    ``profile=None`` the HS-profile is recomputed on every call; sweeps
+    should compute it once (``mn_hs_profiles``) and pass ``profile=``.
     """
     norm_sq = _quadrature_guard(f, lgrid)
     if profile is None:
@@ -421,7 +449,9 @@ def mn_uncertainty(
     with kappa the measured Plancherel ratio of the same field, so the
     inequality is tested in the normalisation where Plancherel holds
     exactly.  The momentum moment passed on is the lambda integral over
-    kappa, and the lhs divisor 2 sqrt(c_2).
+    kappa, and the lhs divisor 2 sqrt(c_2).  With ``profile=None`` the
+    HS-profile is recomputed on every call; sweeps should compute it once
+    (``mn_hs_profiles``) and pass ``profile=``.
     """
     norm_sq = _quadrature_guard(f, lgrid)
     if profile is None:

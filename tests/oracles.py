@@ -76,3 +76,26 @@ def brute_force_motion_ft(values, z1, z2, lam, m_max):
             terms = f * np.exp(-1j * m * TH) * wave * np.exp(-1j * (m - mp) * GA)
             out[r, c] = np.sum(terms) * h2 / n**2
     return out
+
+
+def brute_force_tail_fraction(values, half_extents, weights, lam_max):
+    """Spectral mass at radii |xi| > lam_max / (2 pi) by explicit per-slice DFTs.
+
+    Each circle slice values[:, :, k] is transformed with dense phase
+    matrices exp(-2 pi i xi x) between the box nodes x_j = -L + 2 L j / N
+    and the dual nodes xi_k = -N / (4 L) + k / (2 L); the density is the
+    weights-weighted sum of the slices' squared moduli, masked by radius.
+    No FFT, no circle-mode decomposition and no library code is involved.
+    """
+    n1, n2, n_theta = values.shape
+    phases = []
+    for L, N in zip(half_extents, (n1, n2)):
+        x = -L + (2.0 * L / N) * np.arange(N)
+        xi = -N / (4.0 * L) + np.arange(N) / (2.0 * L)
+        phases.append((xi, np.exp(-2j * np.pi * np.outer(xi, x))))
+    (xi1, e1), (xi2, e2) = phases
+    dens = np.zeros((n1, n2))
+    for k in range(n_theta):
+        dens += weights[k] * np.abs(e1 @ values[:, :, k] @ e2.T) ** 2
+    outside = xi1[:, None] ** 2 + xi2[None, :] ** 2 > (lam_max / (2.0 * np.pi)) ** 2
+    return float(dens[outside].sum() / dens.sum())

@@ -10,6 +10,7 @@ from groupft.fields import (
     SampledField,
     field_from_function,
     gaussian_packet,
+    l2_norm_sq,
     make_grid,
 )
 from groupft.fields import test_corpus as corpus
@@ -104,6 +105,25 @@ class TestDilationSweep:
         z = SampledField(grid1d, np.zeros(grid1d.counts))
         with pytest.raises(ZeroFieldError):
             dilation_sweep(z, MomentSpec(1.0, 1.0), [1.0])
+
+    def test_each_norm_taken_once(self, monkeypatch):
+        # the field's norm plus one per scale; the norm check and the terms share it
+        import groupft.euclidean as euc
+
+        g = make_grid(2, [6.0, 6.0], [128, 128])
+        f = corpus(g, 3, 1)[0]
+        scales = (0.8, 0.9, 1.1, 1.25)
+        spec = MomentSpec(1.0, 2.0)
+        direct = [rn_uncertainty(euc._dilate(f, t), spec) for t in scales]
+        calls = []
+
+        def counting(field):
+            calls.append(field)
+            return l2_norm_sq(field)
+
+        monkeypatch.setattr(euc, "l2_norm_sq", counting)
+        assert dilation_sweep(f, spec, scales) == direct
+        assert len(calls) == 5
 
     def test_bad_scale_rejected(self, gauss1d):
         with pytest.raises(ValueError):

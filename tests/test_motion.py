@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
+from groupft import motion
 from groupft.errors import AliasingError, SpectralTailError, ZeroFieldError
-from groupft.fields import MomentSpec, gaussian_packet, l2_norm_sq, make_grid
+from groupft.fields import (
+    MomentSpec,
+    SampledField,
+    euclidean_ft,
+    gaussian_packet,
+    l2_norm_sq,
+    make_grid,
+)
 from groupft.motion import (
     PLANCHEREL_C2,
+    MotionField,
     OperatorMatrix,
     make_lambda_grid,
     mn_derivative_bound_slack,
@@ -16,13 +25,14 @@ from groupft.motion import (
     mn_hs_profile,
     mn_hs_profiles,
     mn_plancherel_ratio,
+    mn_spectral_tail_fraction,
     mn_uncertainty,
     motion_corpus,
     motion_field,
     pi_matrix_element,
 )
 
-from .oracles import bessel_j, brute_force_motion_ft
+from .oracles import bessel_j, brute_force_motion_ft, brute_force_tail_fraction
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +226,85 @@ class TestUncertainty:
         f = motion_field(grid, np.zeros(grid.counts + (16,)))
         with pytest.raises(ZeroFieldError):
             mn_uncertainty(f, MomentSpec(1.0, 1.0), lgrid, 8)
+
+
+class TestCircleWeights:
+    def test_rejects_nonuniform_circle_weights(self, grid):
+        # the circle-mode transforms rely on Parseval over 1/n_theta weights
+        f = motion_corpus(grid, 128, 1, 1)[0]
+        w = np.linspace(0.5, 1.5, 128)
+        with pytest.raises(ValueError, match="uniform"):
+            MotionField(SampledField(grid, f.values, w / w.sum()))
+
+    @pytest.mark.parametrize("n_theta", [3, 7, 99, 128])
+    def test_accepts_rounded_uniform_weights(self, n_theta):
+        small = make_grid(2, [3.0, 3.0], [8, 8])
+        vals = np.ones(small.counts + (n_theta,))
+        MotionField(SampledField(small, vals, np.full(n_theta, 1.0 / n_theta)))
+
+
+def slice_tail_fraction(f, lam_max):
+    """The tail by one Euclidean transform per circle slice, weighted by the circle rule."""
+    fhat = euclidean_ft(f.sampled)
+    dens = np.tensordot(np.abs(fhat.values) ** 2, f.sampled.group_weights, axes=(-1, 0))
+    outside = fhat.grid.radius_sq() > (lam_max / (2.0 * np.pi)) ** 2
+    return float(dens[outside].sum() / dens.sum())
+
+
+def all_modes_field(grid, n_theta=128):
+    """Gaussian envelope times a random circle profile: every circle mode carries mass."""
+    rng = np.random.default_rng(3)
+    profile = rng.standard_normal(n_theta) + 1j * rng.standard_normal(n_theta)
+    return motion_field(grid, gaussian_packet(grid).values[..., None] * profile)
+
+
+def assert_tail_close(got, want):
+    if want < 1e-8:
+        assert abs(got - want) <= 1e-20
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestSpectralTail:
+    @pytest.mark.parametrize("lam_max", [2.0, 5.0])
+    @pytest.mark.parametrize("kind", ["random", "two_modes"])
+    def test_matches_explicit_per_slice_dft(self, kind, lam_max):
+        small = make_grid(2, [3.0, 3.0], [16, 16])
+        rng = np.random.default_rng(7)
+        shape = small.counts + (16,)
+        if kind == "random":
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        else:
+            th = 2 * np.pi * np.arange(16) / 16
+            g = gaussian_packet(small, widths=[0.6, 0.6], modulations=[0.4, -0.2]).values
+            vals = g[..., None] * (np.exp(2j * th) - 0.5 * np.exp(-3j * th))
+        f = motion_field(small, vals)
+        want = brute_force_tail_fraction(vals, small.half_extents, np.full(16, 1 / 16), lam_max)
+        assert want > 1e-3
+        assert mn_spectral_tail_fraction(f, lam_max) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lam_max", [2.0, 6.0, 10.0, 16.0])
+    def test_matches_per_slice_transform(self, grid, corpus, lam_max):
+        theta_constant = radial_field(grid, n_theta=128)
+        for f in corpus + [theta_constant, all_modes_field(grid)]:
+            assert_tail_close(mn_spectral_tail_fraction(f, lam_max), slice_tail_fraction(f, lam_max))
+
+    def test_zero_field(self, grid):
+        f = motion_field(grid, np.zeros(grid.counts + (128,)))
+        assert mn_spectral_tail_fraction(f, 16.0) == 0.0
+
+    @pytest.mark.parametrize("kind, n_modes", [("corpus", 2), ("all_modes", 128)])
+    def test_transforms_only_carrying_modes(self, grid, corpus, monkeypatch, kind, n_modes):
+        # cost shape: a two-mode field costs two planar transforms, not one per circle slice
+        f = corpus[0] if kind == "corpus" else all_modes_field(grid)
+        mode_mass = np.sum(np.abs(np.fft.fft(f.values, axis=-1)) ** 2, axis=(0, 1))
+        assert np.sum(mode_mass > 1e-20 * mode_mass.max()) == n_modes
+        planes = []
+
+        def recording_ft(field):
+            planes.append(field.values.shape[-1])
+            return euclidean_ft(field)
+
+        monkeypatch.setattr(motion, "euclidean_ft", recording_ft)
+        mn_spectral_tail_fraction(f, 16.0)
+        assert planes == [n_modes]
