@@ -6,12 +6,12 @@ convention is
 
     fhat(xi) = int f(x) exp(-2*pi*i*<x, xi>) dx
 
-throughout.  A grid over [-L, L)^n with N points per axis induces a dual
-grid over [-N/(4L), N/(4L)) with spacing 1/(2L); with that pairing the
-discrete transform below is an exactly unitary approximation of the
-integral (Parseval holds to machine precision), so Plancherel defects
-measured later are genuine quadrature/truncation effects and not FFT
-bookkeeping.
+throughout.  A grid over [-L, L)^n with N points per axis, N even, induces
+a dual grid over [-N/(4L), N/(4L)) with spacing 1/(2L); with that pairing
+x_j * xi_k = (j - N/2)(k - N/2)/N exactly, and the discrete transform (an
+FFT between two half-length rolls) is an exactly unitary approximation of
+the integral (Parseval holds to machine precision), so Plancherel defects
+measured later are genuine quadrature/truncation effects, not bookkeeping.
 
 A field may carry one trailing discrete axis (a compact-group coordinate)
 with quadrature weights summing to 1; norms and moments sum over it, the
@@ -58,11 +58,19 @@ class Grid:
 
     Attributes:
         half_extents: per-axis half width L_i.
-        counts: per-axis sample count N_i (powers of two recommended).
+        counts: per-axis sample count N_i, even and >= 2 (powers of two
+            recommended), so that x_j * xi_k = (j - N/2)(k - N/2)/N_i.
     """
 
     half_extents: tuple[float, ...]
     counts: tuple[int, ...]
+
+    def __post_init__(self):
+        for L, N in zip(self.half_extents, self.counts):
+            if not np.isfinite(L) or L <= 0.0:
+                raise ValueError(f"half extents must be positive, got {L}")
+            if N < 2 or N % 2:
+                raise ValueError(f"sample counts must be even and >= 2, got {N}")
 
     @property
     def dim(self) -> int:
@@ -110,8 +118,8 @@ class Grid:
 def make_grid(dim, half_extents, counts) -> Grid:
     """Validated Grid constructor.
 
-    Raises ValueError for nonpositive extents, counts < 2 or a dimension
-    mismatch between the argument lists.
+    Raises ValueError for nonpositive extents, odd counts or counts < 2, or
+    a dimension mismatch between the argument lists.
     """
     if int(dim) < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -121,12 +129,6 @@ def make_grid(dim, half_extents, counts) -> Grid:
         raise ValueError(
             f"expected {dim} extents and counts, got {len(half_extents)} and {len(counts)}"
         )
-    for L in half_extents:
-        if not np.isfinite(L) or L <= 0.0:
-            raise ValueError(f"half extents must be positive, got {L}")
-    for N in counts:
-        if N < 2:
-            raise ValueError(f"sample counts must be >= 2, got {N}")
     return Grid(half_extents, counts)
 
 
@@ -262,57 +264,30 @@ def moment_boundary_fraction(f: SampledField, exponent: float) -> float:
     return 1.0 - float(interior.sum()) / total
 
 
-def _fft_phases(grid: Grid):
-    """Per-axis (pre, post) phase vectors turning fftn into the box transform.
-
-    With x_j = -L + j*h and xi_k = -W + k/(2L), W = N/(4L), one has
-    exp(-2*pi*i x_j xi_k) = (-1)^j * (-i)^N * (-1)^k * exp(-2*pi*i jk/N);
-    the sign vectors are exact, no rounded phases enter.
-    """
-    pres, posts = [], []
-    for N in grid.counts:
-        j = np.arange(N)
-        pre = np.where(j % 2 == 0, 1.0, -1.0).astype(np.complex128)
-        post = ((-1j) ** (N % 4)) * pre
-        pres.append(pre)
-        posts.append(post)
-    return pres, posts
-
-
-def _apply_axis_vectors(values: np.ndarray, vectors) -> np.ndarray:
-    out = values
-    for i, vec in enumerate(vectors):
-        shape = [1] * values.ndim
-        shape[i] = len(vec)
-        out = out * vec.reshape(shape)
-    return out
+def _centred_fft(f: SampledField, transform, scale: float) -> SampledField:
+    """``transform`` (np.fft.fftn or ifftn) of the spatial axes between two
+    half-length rolls, scaled in place once the rolled input is freed; a
+    group axis keeps its order."""
+    axes = tuple(range(f.grid.dim))
+    vals = np.fft.fftshift(transform(np.fft.fftshift(f.values, axes), axes=axes), axes)
+    vals *= scale
+    return SampledField(f.grid.dual(), vals, f.group_weights)
 
 
 def euclidean_ft(f: SampledField) -> SampledField:
     """Forward transform onto the dual grid.
 
     Approximates fhat(xi) = int f(x) exp(-2*pi*i<x,xi>) dx at the dual grid
-    points; exact Parseval partner of inverse_euclidean_ft.  A group axis
-    passes through untouched.
+    points; exact Parseval partner of inverse_euclidean_ft.  Counts are even,
+    so x_j * xi_k = (j - N/2)(k - N/2)/N and the sum is fftn between two
+    half-length rolls of the spatial axes; a group axis passes untouched.
     """
-    g = f.grid
-    pres, posts = _fft_phases(g)
-    vals = _apply_axis_vectors(f.values, pres)
-    vals = np.fft.fftn(vals, axes=tuple(range(g.dim)))
-    vals = _apply_axis_vectors(vals, posts) * g.cell_volume
-    return SampledField(g.dual(), vals, f.group_weights)
+    return _centred_fft(f, np.fft.fftn, f.grid.cell_volume)
 
 
 def inverse_euclidean_ft(fhat: SampledField) -> SampledField:
     """Inverse of euclidean_ft; maps a dual-grid field back to the primal grid."""
-    gdual = fhat.grid
-    gprim = gdual.dual()
-    pres, posts = _fft_phases(gprim)
-    vals = _apply_axis_vectors(fhat.values, [np.conj(p) for p in posts])
-    vals = np.fft.ifftn(vals, axes=tuple(range(gdual.dim)))
-    vals = _apply_axis_vectors(vals, pres)
-    vals = vals * (np.prod(gdual.counts) * gdual.cell_volume)
-    return SampledField(gprim, vals, fhat.group_weights)
+    return _centred_fft(fhat, np.fft.ifftn, np.prod(fhat.grid.counts) * fhat.grid.cell_volume)
 
 
 def _axis_phase(nodes: np.ndarray, coords: np.ndarray, sign: float) -> np.ndarray:

@@ -40,7 +40,7 @@ quadratures and its spectral mass is reported, not hidden.
 from __future__ import annotations
 
 import json
-import re
+import math
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -251,6 +251,9 @@ class CrossSectionDescriptor:
                 f"bounds: keys {sorted(self.bounds)} must be the cross-section slots "
                 f"{list(self.cross_slots)}"
             )
+        for slot, pieces in self.bounds.items():
+            if not pieces or not all(-np.inf < lo < hi < np.inf for lo, hi in pieces):
+                raise ValueError(f"bounds: slot {slot} pieces {pieces} need finite lo < hi")
         if self.singular_axis is not None and self.singular_axis not in self.cross_slots:
             raise ValueError(
                 f"singular_axis: {self.singular_axis!r} is not a cross-section slot "
@@ -335,16 +338,31 @@ def threadlike_descriptor(n: int) -> CrossSectionDescriptor:
 # ---------------------------------------------------------------------------
 
 
+def _largest_intermediate(subscripts, operands, path) -> int:
+    """Elements of the largest array one np.einsum along ``path`` builds,
+    the "Largest intermediate" of np.einsum_path's report."""
+    inputs, output = subscripts.split("->")
+    sizes = {}
+    for term, op in zip(inputs.split(","), operands):
+        for c, m in zip(term, op.shape):
+            sizes[c] = max(sizes.get(c, 1), m)  # a length-1 axis broadcasts
+    terms = [set(term) for term in inputs.split(",")]
+    largest = 0
+    for step in path[1:]:
+        picked = set().union(*(terms[p] for p in step))
+        terms = [t for p, t in enumerate(terms) if p not in step]
+        terms.append(picked & set(output).union(*terms))  # indices still read later
+        largest = max(largest, math.prod(sizes[c] for c in terms[-1]))
+    return largest
+
+
 def _slices_per_einsum(subscripts, operands, path, count: int) -> int:
     """Slices of a length-``count`` axis that one np.einsum along ``path``
     may take at once and keep its working memory within _BLOCK_BYTES.
-
     Every intermediate is charged as if it scaled with the sliced axis, and
-    twice, because np.einsum may copy one into batched-matmul layout.
-    """
-    info = np.einsum_path(subscripts, *operands, optimize=path)[1]
-    largest = float(re.search(r"Largest intermediate:\s*(\S+)", info).group(1))
-    return max(1, int(_BLOCK_BYTES * count // (2 * 16 * largest)))
+    twice, because np.einsum may copy one into batched-matmul layout."""
+    largest = _largest_intermediate(subscripts, operands, path)
+    return max(1, _BLOCK_BYTES * count // (2 * 16 * largest))
 
 
 def _t_letters(axes) -> str:
@@ -359,8 +377,8 @@ class _HsEvaluator:
     along some of the t-axes and, when its expression reads any xi, along
     the point axis; its phase factor exp(-2 pi i c x_i) carries exactly
     those axes plus grid axis i.  At construction, with ``fold``, the
-    phases of slots that read no xi are folded into f (a "base" array)
-    where that does not make it larger; the others are kept as operands.
+    phases of slots that read no xi are folded into f one after another (a
+    "base" array) where that does not make it larger; the others are kept.
     Points are then taken in blocks, one np.einsum per block that
     contracts the base with the slot phases one slot after another; the
     t-axes shared between slots and the point axis are batch indices.
@@ -407,7 +425,7 @@ class _HsEvaluator:
             kept += grid[i]
         self.base_sub = kept + _t_letters(sorted(self.base_axes))
         subscripts = ",".join(terms) + "->" + self.base_sub
-        path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+        path = ["einsum_path", (0, 1)] + [(0, m) for m in range(len(operands) - 2, 0, -1)]
         if len(operands) == 1:  # nothing to fold
             self.base = f.values
         elif not kept:  # every slot folded: no slot reads xi
@@ -598,7 +616,9 @@ def nilpotent_plancherel_ratio(
     """(int_W hs2(xi) |Pf(xi)| dxi) / ||f||_2^2; tends to 1 for the built-ins.
 
     Fields carrying >= 0.5% of their spectral mass inside the excluded
-    band are rejected with the excluded mass attached to the error.
+    band are rejected with the excluded mass attached to the error.  With
+    ``profile=None`` the HS-profile is recomputed on every call; sweeps
+    should compute it once (``nilpotent_w_profile``) and pass ``profile=``.
     """
     norm_sq = _plancherel_guard(f, desc)
     if profile is None:
@@ -622,7 +642,9 @@ def nilpotent_uncertainty(
     |xi| the Euclidean norm of the cross-section point (vanishing slots
     contribute zero); position side is the Euclidean moment in exponential
     coordinates; lhs = ||f||^{1/a + 1/b} / (4 pi).  That integral is the
-    momentum moment passed on, and 4 pi the lhs divisor.
+    momentum moment passed on, and 4 pi the lhs divisor.  With
+    ``profile=None`` the HS-profile is recomputed on every call; sweeps
+    should compute it once (``nilpotent_w_profile``) and pass ``profile=``.
     """
     norm_sq = _plancherel_guard(f, desc)
     if profile is None:
@@ -704,8 +726,8 @@ def descriptor_from_json(data: dict) -> tuple[CrossSectionDescriptor, LieAlgebra
     Expressions use variables xi1..xin and t1..tk (t_a fills the a-th
     vanishing slot, ascending).  Substitute entries may be omitted: a
     vanishing slot defaults to its t variable, any other slot to its xi.
-    Raises ValueError naming the key on slots or variables that do not
-    fit the descriptor.
+    Raises ValueError naming the key on slots, variables, bounds pieces
+    or structure-constant indices that do not fit the descriptor.
     """
     n = int(data["n"])
     vanishing = tuple(sorted(int(j) for j in data["vanishing"]))
@@ -725,9 +747,11 @@ def descriptor_from_json(data: dict) -> tuple[CrossSectionDescriptor, LieAlgebra
     algebra = None
     if "structure_constants" in data:
         c = np.zeros((n, n, n))
-        for i, j, k, value in data["structure_constants"]:
-            c[int(i) - 1, int(j) - 1, int(k) - 1] = float(value)
-            c[int(j) - 1, int(i) - 1, int(k) - 1] = -float(value)
+        for *slots, value in data["structure_constants"]:
+            if len(slots) != 3 or not all(isinstance(s, int) and 1 <= s <= n for s in slots):
+                raise ValueError(f"structure_constants: indices {slots} are not integers in 1..{n}")
+            i, j, k = (s - 1 for s in slots)
+            c[i, j, k], c[j, i, k] = float(value), -float(value)
         algebra = LieAlgebraData(n, c)
     desc = CrossSectionDescriptor(
         n=n,

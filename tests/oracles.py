@@ -99,3 +99,33 @@ def brute_force_tail_fraction(values, half_extents, weights, lam_max):
         dens += weights[k] * np.abs(e1 @ values[:, :, k] @ e2.T) ** 2
     outside = xi1[:, None] ** 2 + xi2[None, :] ** 2 > (lam_max / (2.0 * np.pi)) ** 2
     return float(dens[outside].sum() / dens.sum())
+
+
+def dense_box_transform(values, half_extents, inverse=False):
+    """Box transform of the leading len(half_extents) axes by one dense matrix.
+
+    With x_j = -L + 2 L j / N and xi_k = -N / (4 L) + k / (2 L) per axis,
+    the forward transform is sum_j values[j] exp(-2 pi i <x_j, xi_k>) times
+    the cell volume prod(2 L / N); the inverse maps dual samples back with
+    exp(+2 pi i <x_j, xi_k>) times the dual cell volume prod(1 / (2 L)).
+    ``half_extents`` are the primal L in both directions.  The phase matrix
+    couples every grid point with every dual point, so no FFT, roll or
+    per-axis factorisation is involved.  Trailing (group) axes are carried
+    along column by column in their original order.
+    """
+    dim = len(half_extents)
+    counts = values.shape[:dim]
+    x, xi = [], []
+    for L, N in zip(half_extents, counts):
+        x.append(-L + (2.0 * L / N) * np.arange(N))
+        xi.append(-N / (4.0 * L) + np.arange(N) / (2.0 * L))
+    pts_x = np.stack(np.meshgrid(*x, indexing="ij"), axis=-1).reshape(-1, dim)
+    pts_xi = np.stack(np.meshgrid(*xi, indexing="ij"), axis=-1).reshape(-1, dim)
+    if inverse:
+        matrix = np.exp(2j * np.pi * pts_x @ pts_xi.T)
+        volume = np.prod([1.0 / (2.0 * L) for L in half_extents])
+    else:
+        matrix = np.exp(-2j * np.pi * pts_xi @ pts_x.T)
+        volume = np.prod([2.0 * L / N for L, N in zip(half_extents, counts)])
+    flat = values.reshape(matrix.shape[1], -1)
+    return (matrix @ flat * volume).reshape(values.shape)

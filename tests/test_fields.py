@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from groupft.errors import AliasingError
 from groupft.fields import _legendre
 from groupft.fields import test_corpus as corpus
 from groupft.fields import (
+    Grid,
     SampledField,
     axis_band_fraction,
     boundary_decay,
@@ -27,6 +29,8 @@ from groupft.fields import (
     tensor_dft,
     weighted_moment,
 )
+
+from .oracles import dense_box_transform
 
 # closed-form Gaussian moments for f(x) = exp(-pi x^2):
 #   int exp(-2 pi x^2) dx            = 2^(-1/2)
@@ -134,6 +138,67 @@ class TestEuclideanFT:
         xi = fhat.grid
         expected = np.exp(-np.pi * xi.radius_sq())
         assert np.max(np.abs(fhat.values - expected)) <= 1e-9
+
+
+class TestTransformOracle:
+    """Both transforms against the dense-matrix oracle.
+
+    Counts 6 and 10 (N % 4 == 2) give the centring sign (-1)^(N/2) = -1;
+    every other test in this module uses multiples of 4.
+    """
+
+    SHAPES = [
+        ((6,), (3.0,)),
+        ((10,), (2.5,)),
+        ((6, 10), (2.0, 3.0)),
+        ((10, 6, 10), (1.5, 2.0, 2.5)),
+    ]
+
+    @staticmethod
+    def random_values(shape, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("counts, extents", SHAPES, ids=["6", "10", "6x10", "10x6x10"])
+    def test_forward_and_inverse(self, counts, extents):
+        grid = make_grid(len(counts), extents, counts)
+        vals = self.random_values(counts)
+        fhat = euclidean_ft(SampledField(grid, vals))
+        want = dense_box_transform(vals, extents)
+        assert np.max(np.abs(fhat.values - want)) <= 1e-13 * np.max(np.abs(want))
+        back = inverse_euclidean_ft(SampledField(grid.dual(), vals))
+        want = dense_box_transform(vals, grid.half_extents, inverse=True)
+        assert np.max(np.abs(back.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_group_axis_slices_keep_their_position(self, k):
+        grid = make_grid(2, [2.0, 3.0], [6, 8])
+        vals = self.random_values((6, 8, k), seed=1)
+        weights = np.full(k, 1.0 / k)
+        fhat = euclidean_ft(SampledField(grid, vals, weights))
+        want = dense_box_transform(vals, grid.half_extents)
+        assert np.max(np.abs(fhat.values - want)) <= 1e-13 * np.max(np.abs(want))
+        back = inverse_euclidean_ft(SampledField(grid.dual(), vals, weights))
+        want = dense_box_transform(vals, grid.half_extents, inverse=True)
+        assert np.max(np.abs(back.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestOddCounts:
+    def test_make_grid_rejects_odd_count(self):
+        with pytest.raises(ValueError, match="even"):
+            make_grid(2, [4.0, 4.0], [8, 7])
+
+    def test_grid_rejects_odd_count(self):
+        with pytest.raises(ValueError, match="even"):
+            Grid((4.0,), (9,))
+
+    def test_load_field_rejects_odd_count(self, tmp_path):
+        # a well-formed file written by hand: save_field cannot make one
+        p = tmp_path / "odd.gfld"
+        header = b"GFLD" + struct.pack("<III", 1, 1, 0) + struct.pack("<dQ", 4.0, 7)
+        p.write_bytes(header + np.ones(7, dtype=np.complex128).tobytes())
+        with pytest.raises(ValueError, match="even"):
+            load_field(p)
 
 
 class TestNudft:

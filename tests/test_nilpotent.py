@@ -417,3 +417,72 @@ def test_w_nodes_reject_bounds_outside_dual_box(narrow_field):
     desc = dataclasses.replace(nil.threadlike_descriptor(3), bounds={1: ((1.5, 3.0),)})
     with pytest.raises(ValueError, match="integration bounds fall outside the dual box"):
         nil._w_nodes(desc, narrow_field, 6)
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"structure_constants": [[0, 2, 1, 1.0]]}, "structure_constants"),
+        ({"structure_constants": [[4, 2, 1, 1.0]]}, "structure_constants"),
+        ({"structure_constants": [[3, 2.5, 1, 1.0]]}, "structure_constants"),
+        ({"bounds": {"1": [[-3.2, -0.05], [3.2, 0.05]]}}, "bounds"),
+        ({"bounds": {"1": [[0.05, 0.05]]}}, "bounds"),
+        ({"bounds": {"1": [[-3.2, -0.05], [0.05, float("nan")]]}}, "bounds"),
+        ({"bounds": {"1": []}}, "bounds"),
+    ],
+    ids=[
+        "index-zero",
+        "index-above-n",
+        "index-fractional",
+        "piece-reversed",
+        "piece-empty",
+        "piece-nan",
+        "no-pieces",
+    ],
+)
+def test_loader_rejects_broken_data(change, key):
+    data = shipped(3)
+    data.update(change)
+    with pytest.raises(ValueError, match=f"^{re.escape(key)}:"):
+        nil.descriptor_from_json(data)
+
+
+def test_largest_intermediate_matches_einsum_report(random_field, monkeypatch):
+    """The helper reproduces np.einsum_path's printed "Largest intermediate"
+    for the fold and the block contraction; the fold's explicit chain is the
+    path np.einsum_path picks greedily."""
+    f = random_field
+    seen = []
+    slices = nil._slices_per_einsum
+
+    def recording(subscripts, operands, path, count):
+        seen.append((subscripts, operands, path))
+        return slices(subscripts, operands, path, count)
+
+    monkeypatch.setattr(nil, "_slices_per_einsum", recording)
+    evaluator = nil._HsEvaluator(f, nil.threadlike_descriptor(f.grid.dim), T_NODES)
+    evaluator._block_size(np.array(POINTS[f.grid.dim]))
+    assert len(seen) == 2  # the fold, then the block contraction
+    for subscripts, operands, path in seen:
+        report = np.einsum_path(subscripts, *operands, optimize=path)[1]
+        printed = re.search(r"Largest intermediate:\s*(\S+)", report).group(1)
+        assert f"{nil._largest_intermediate(subscripts, operands, path):.3e}" == printed
+    subscripts, operands, path = seen[0]
+    assert np.einsum_path(subscripts, *operands, optimize="greedy")[0] == path
+
+
+@pytest.mark.parametrize(
+    "subscripts, shapes, path, count, want",
+    [
+        ("abc,Ab,Bc->aAB", [(48,) * 3, (32, 48), (32, 48)], [(0, 1), (0, 1)], 48, 341),
+        ("za,aAB->zAB", [(1, 48), (48, 32, 32)], [(0, 1)], 1, 512),
+        ("abcd,Ab,Bd->acAB", [(48,) * 4, (16, 48), (16, 48)], [(0, 1), (0, 1)], 48, 14),
+        ("za,zAc,acAB->zAB", [(1, 48), (1, 16, 48), (48, 48, 16, 16)], [(0, 2), (0, 1)], 1, 42),
+    ],
+    ids=["n3-fold", "n3-block", "n4-fold", "n4-block"],
+)
+def test_slice_and_block_counts(subscripts, shapes, path, count, want):
+    """48^3 at t = 32 folds in one slice and takes 512-point blocks; 48^4 at
+    t = 16 folds 14 planes at a time and takes 42-point blocks."""
+    operands = [np.broadcast_to(np.zeros((), complex), s) for s in shapes]
+    assert nil._slices_per_einsum(subscripts, operands, ["einsum_path"] + path, count) == want
