@@ -101,20 +101,16 @@ def _dilate(f: SampledField, t: float) -> SampledField:
 
     The band-limited interpolant of f is evaluated at the scaled nodes
     t*x_j (no interpolation; exact for fields whose dual support lies in
-    the dual box).  Nodes that land outside the original box take the
-    value 0, which is where the decay requirement enters.
+    the dual box).  The dual of the dual grid is the original box, so
+    tensor_dft gives the nodes that land outside it the value 0, which is
+    where the decay requirement enters.
     """
     if t <= 0.0 or not np.isfinite(t):
         raise ValueError(f"scale must be positive, got {t}")
     if t == 1.0:
         return f
     g = f.grid
-    fhat = euclidean_ft(f)
-    nodes = [t * g.axis(i) for i in range(g.dim)]
-    outside = [np.abs(x) > half for x, half in zip(nodes, g.half_extents)]
-    vals = tensor_dft(fhat, [np.where(m, 0.0, x) for x, m in zip(nodes, outside)], sign=+1.0)
-    for i, m in enumerate(outside):  # nodes outside the box were evaluated at 0: zero them
-        vals[(slice(None),) * i + (m,)] = 0.0
+    vals = tensor_dft(euclidean_ft(f), [t * g.axis(i) for i in range(g.dim)], sign=+1.0)
     out = SampledField(g, vals * t ** (g.dim / 2.0))
     if boundary_decay(out) > _BOUNDARY_DECAY_LIMIT:
         raise DecayError(f"scale t={t} pushes mass onto the box boundary")

@@ -42,8 +42,6 @@ __all__ = [
     "moment_boundary_fraction",
     "euclidean_ft",
     "inverse_euclidean_ft",
-    "nudft_at",
-    "spectral_partial",
     "test_corpus",
     "boundary_decay",
     "axis_band_fraction",
@@ -290,8 +288,15 @@ def inverse_euclidean_ft(fhat: SampledField) -> SampledField:
     return _centred_fft(fhat, np.fft.ifftn, np.prod(fhat.grid.counts) * fhat.grid.cell_volume)
 
 
-def _axis_phase(nodes: np.ndarray, coords: np.ndarray, sign: float) -> np.ndarray:
-    return np.exp(sign * 2j * np.pi * np.outer(nodes, coords))
+def _axis_phase(grid: Grid, axis: int, nodes, sign: float) -> np.ndarray:
+    """exp(sign*2*pi*i*xi*x) between ``nodes`` xi (any shape) and the samples x
+    of one grid axis, shape nodes.shape + (N,): the one phase builder of every
+    direct (non-FFT) Euclidean transform.  Rows of nodes beyond the axis's
+    dual half-extent are zero, because there the sum aliases."""
+    nodes = np.asarray(nodes, dtype=float)
+    phase = np.exp(sign * 2j * np.pi * np.multiply.outer(nodes, grid.axis(axis)))
+    phase[np.abs(nodes) > grid.dual_half_extents[axis]] = 0.0
+    return phase
 
 
 def tensor_dft(f: SampledField, axis_nodes, sign: float = -1.0) -> np.ndarray:
@@ -300,57 +305,17 @@ def tensor_dft(f: SampledField, axis_nodes, sign: float = -1.0) -> np.ndarray:
     Returns sum_x f(x) exp(sign*2*pi*i<x, xi>) * cell_volume on the grid
     {xi} = axis_nodes[0] x ... x axis_nodes[d-1], evaluated by sequential
     axis contractions (no FFT, no interpolation).  Cost is one pass over
-    the sample array per leading node axis.
+    the sample array per leading node axis.  A node beyond its axis's dual
+    half-extent contributes exactly 0 (``_axis_phase``'s mask): the grid
+    cannot tell that frequency from its aliases.
     """
     if f.has_group_axis:
         raise ValueError("tensor_dft applies to spatial-only fields")
     T = f.values
     for i in range(f.grid.dim):
-        ph = _axis_phase(np.asarray(axis_nodes[i], dtype=float), f.grid.axis(i), sign)
         # contract the current leading spatial axis; node axis lands at the end
-        T = np.tensordot(T, ph, axes=(0, 1))
+        T = np.tensordot(T, _axis_phase(f.grid, i, axis_nodes[i], sign), axes=(0, 1))
     return T * f.grid.cell_volume
-
-
-def nudft_at(f: SampledField, points) -> np.ndarray:
-    """Direct evaluation of the forward transform at arbitrary dual points.
-
-    Same integral as euclidean_ft, summed term by term, so it agrees with
-    the FFT path at dual grid points to roundoff.  Points outside the dual
-    box are rejected: the grid cannot distinguish such frequencies from
-    their aliases.
-    """
-    if f.has_group_axis:
-        raise ValueError("nudft_at applies to spatial-only fields")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != f.grid.dim:
-        raise ValueError(f"points must have {f.grid.dim} columns, got {pts.shape[1]}")
-    W = np.asarray(f.grid.dual_half_extents)
-    if np.any(np.abs(pts) > W * (1.0 + 1e-12)):
-        raise AliasingError("evaluation point outside the dual box (aliasing unsafe)")
-    out = np.empty(pts.shape[0], dtype=np.complex128)
-    for start in range(0, pts.shape[0], 256):
-        chunk = pts[start : start + 256]
-        T = np.tensordot(_axis_phase(chunk[:, 0], f.grid.axis(0), -1.0), f.values, axes=(1, 0))
-        for a in range(1, f.grid.dim):
-            ph = _axis_phase(chunk[:, a], f.grid.axis(a), -1.0)
-            T = np.einsum("cj...,cj->c...", T, ph)
-        out[start : start + 256] = T
-    return out * f.grid.cell_volume
-
-
-def spectral_partial(f: SampledField, axis: int) -> SampledField:
-    """Partial derivative along a spatial axis via the transform.
-
-    Forward transform, multiply by 2*pi*i*xi_axis, transform back; accurate
-    for fields that are smooth and decayed inside the box.
-    """
-    fhat = euclidean_ft(f)
-    xi = fhat.grid.axis(axis)
-    shape = [1] * fhat.values.ndim
-    shape[axis] = xi.size
-    vals = fhat.values * (2j * np.pi * xi).reshape(shape)
-    return inverse_euclidean_ft(SampledField(fhat.grid, vals, fhat.group_weights))
 
 
 # largest boundary_decay at which a field counts as decayed inside its box
@@ -407,7 +372,7 @@ def axis_band_fraction(f: SampledField, axis: int, cut: float) -> float:
     if cut > f.grid.dual_half_extents[axis] * (1.0 + 1e-12):
         raise AliasingError(f"band cut {cut} beyond the dual half-extent of axis {axis}")
     xi, w = _gauss_rule([(-cut, cut)], 64)
-    ph = _axis_phase(xi, f.grid.axis(axis), -1.0) * f.grid.spacings[axis]
+    ph = _axis_phase(f.grid, axis, xi, -1.0) * f.grid.spacings[axis]
     vals = np.moveaxis(f.values, axis, 0)
     slab = np.tensordot(ph, vals, axes=(1, 0))  # (nodes, rest...)
     rest_vol = f.grid.cell_volume / f.grid.spacings[axis]
@@ -551,8 +516,9 @@ def load_field(path) -> SampledField:
     """Read a field written by save_field.
 
     Raises ValueError naming the file when it is not a field file, when
-    its header, axis table, weight block or value block is cut short, or
-    when bytes follow the value block; sizes are checked against the file
+    its header, axis table, weight block or value block is cut short, when
+    bytes follow the value block, or when the axis table holds an odd count
+    or a non-positive extent; sizes are checked against the file
     length before anything is read or allocated.
     """
     with open(path, "rb") as fh:
@@ -572,7 +538,10 @@ def load_field(path) -> SampledField:
         for L, N in struct.iter_unpack("<dQ", read(16 * dim, "axis table")):
             extents.append(L)
             counts.append(int(N))
-        grid = make_grid(dim, extents, counts)
+        try:
+            grid = make_grid(dim, extents, counts)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         weights = None
         shape = tuple(counts)
         if flags & 1:

@@ -13,8 +13,7 @@ in the circle-character basis e_m, truncated to |m|, |m'| <= M, with
 
 The u-integral in the matrix element is evaluated on the circle grid (a
 plain DFT of the sampled plane wave), never through closed-form Bessel
-functions; the Jacobi-Anger Bessel identity is reserved for independent
-oracle tests.  The plane wave factorises as
+functions.  The plane wave factorises as
 exp(-i lambda z1 cos g) * exp(i lambda z2 sin g), so ``mn_ft`` and the
 HS-profiles share one path that, per lambda, builds only those two small
 factors and contracts the theta-coefficient rows against them: one matmul
@@ -56,7 +55,6 @@ from .fields import (
     euclidean_ft,
     gaussian_packet,
     l2_norm_sq,
-    spectral_partial,
 )
 
 __all__ = [
@@ -67,17 +65,13 @@ __all__ = [
     "make_lambda_grid",
     "motion_field",
     "motion_corpus",
-    "pi_matrix_element",
     "mn_ft",
     "mn_hs_norm_sq",
     "mn_hs_profile",
     "mn_hs_profiles",
     "mn_plancherel_ratio",
     "mn_spectral_tail_fraction",
-    "mn_derivative_identity_residual",
-    "mn_derivative_bound_slack",
     "mn_uncertainty",
-    "d_z1",
 ]
 
 # c_n = 2 / (2^{n/2} Gamma(n/2)) at n = 2
@@ -187,16 +181,6 @@ def make_lambda_grid(lam_max: float, panels: int = 8, nodes_per_panel: int = 12)
         raise ValueError("lam_max, panels and nodes_per_panel must be positive")
     edges = np.linspace(0.0, lam_max, panels + 1)
     return LambdaGrid(*_gauss_rule(zip(edges[:-1], edges[1:]), nodes_per_panel), lam_max)
-
-
-def pi_matrix_element(lam: float, z, m: int, n: int, n_theta: int = 128) -> complex:
-    """<pi_lambda(z, e) e_m, e_n> with the u-integral on the circle grid."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    z = np.asarray(z, dtype=float)
-    gam = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    wave = np.exp(1j * lam * (z[0] * np.cos(gam) - z[1] * np.sin(gam)))
-    return complex(np.mean(wave * np.exp(1j * (m - n) * gam)))
 
 
 def _circle_dft(f: MotionField) -> np.ndarray:
@@ -384,53 +368,6 @@ def mn_plancherel_ratio(
     if profile is None:
         profile = mn_hs_profile(f, lgrid.nodes, m_max)
     return _lambda_moment(lgrid, profile, 0.0) / norm_sq
-
-
-def d_z1(f: MotionField) -> MotionField:
-    """Partial derivative along the first spatial coordinate (spectral)."""
-    return MotionField(spectral_partial(f.sampled, 0))
-
-
-def _cos_multiplier(ext: np.ndarray, m_max: int) -> np.ndarray:
-    """Central block of F composed with multiplication by cos(theta).
-
-    The multiplier is the symmetric tridiagonal C with C_{m, m+-1} = 1/2;
-    it enters on the input-character side of the operator (the derivative
-    acts through pi(z,k)* o M_cos), which shifts the column index.  ``ext``
-    is the matrix at truncation m_max + 1, providing the one-band margin.
-    """
-    side = 2 * m_max + 1
-    out = np.empty((side, side), dtype=np.complex128)
-    for j in range(side):
-        # column m' = j - m_max lives at index j + 1 in the extended matrix
-        out[:, j] = 0.5 * (ext[1:-1, j] + ext[1:-1, j + 2])
-    return out
-
-
-def mn_derivative_identity_residual(f: MotionField, lam: float, m_max: int) -> float:
-    """Relative HS residual of (d f / d z1)^ = i lambda cos(theta) o fhat.
-
-    Zero fields give residual 0 by convention.
-    """
-    _check_truncation(f, lam, m_max + 1)
-    ext = mn_ft(f, lam, m_max + 1).matrix
-    base = ext[1:-1, 1:-1]
-    scale = lam * np.sqrt(np.sum(np.abs(base) ** 2))
-    if scale == 0.0:
-        return 0.0
-    lhs = mn_ft(d_z1(f), lam, m_max).matrix
-    rhs = 1j * lam * _cos_multiplier(ext, m_max)
-    return float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) / scale)
-
-
-def mn_derivative_bound_slack(f: MotionField, lam: float, m_max: int) -> float:
-    """(lambda ||fhat||_HS - ||(d1 f)^||_HS) / (lambda ||fhat||_HS); >= 0 in theory."""
-    _check_truncation(f, lam, m_max)
-    denom = lam * np.sqrt(mn_hs_norm_sq(mn_ft(f, lam, m_max)))
-    if denom == 0.0:
-        return 0.0
-    num = np.sqrt(mn_hs_norm_sq(mn_ft(d_z1(f), lam, m_max)))
-    return float((denom - num) / denom)
 
 
 def mn_uncertainty(

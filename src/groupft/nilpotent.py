@@ -26,8 +26,9 @@ t-axes along which that array varies are the t-axes its phase factor
 contracts over, and slots whose expression reads xi carry a point axis.
 Phases of slots that read no xi are built once, and folded into f where
 that does not enlarge it.  Blocks are sized so that memory stays within a
-fixed budget whatever the number of points.  Substituted coordinates
-outside the dual box are masked to zero; that dropped mass is not yet
+fixed budget whatever the number of points.  Every phase comes from
+``fields._axis_phase``, which zeroes substituted coordinates beyond the
+dual box, where the direct sum aliases; that dropped mass is not yet
 measured or budgeted.
 
 The Plancherel identity integrates hs2 against |Pf(xi)| d(xi) over the
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -228,8 +230,8 @@ class CrossSectionDescriptor:
     be broadcast against t (correct, but slower).  ``bounds`` maps each
     non-vanishing slot to a tuple of (lo, hi) interval pieces of the
     integration box; the pieces already exclude the singular band.
-    Substituted coordinates outside the dual box are masked to zero, not
-    measured or budgeted.
+    Substituted coordinates beyond the dual box contribute zero (the phase
+    mask of ``fields._axis_phase``), not measured or budgeted.
     """
 
     n: int
@@ -242,7 +244,9 @@ class CrossSectionDescriptor:
     label: str = "descriptor"
 
     def __post_init__(self):
-        v = tuple(sorted(int(j) for j in self.vanishing))
+        if not all(isinstance(j, numbers.Integral) for j in self.vanishing):
+            raise ValueError(f"vanishing: {list(self.vanishing)} holds a non-integer slot")
+        v = tuple(sorted(int(j) for j in self.vanishing))  # exact: every slot is integral
         if not v or v[0] < 1 or v[-1] > self.n or len(set(v)) != len(v):
             raise ValueError(f"vanishing slots {self.vanishing} invalid for n={self.n}")
         object.__setattr__(self, "vanishing", v)
@@ -376,9 +380,9 @@ class _HsEvaluator:
     Slot i's substituted coordinate, evaluated on the sparse t mesh, varies
     along some of the t-axes and, when its expression reads any xi, along
     the point axis; its phase factor exp(-2 pi i c x_i) carries exactly
-    those axes plus grid axis i.  At construction, with ``fold``, the
-    phases of slots that read no xi are folded into f one after another (a
-    "base" array) where that does not make it larger; the others are kept.
+    those axes plus grid axis i.  At construction the phases of slots that
+    read no xi are folded into f one after another (a "base" array) where
+    that does not make it larger; the others are kept.
     Points are then taken in blocks, one np.einsum per block that
     contracts the base with the slot phases one slot after another; the
     t-axes shared between slots and the point axis are batch indices.
@@ -388,21 +392,18 @@ class _HsEvaluator:
     number of points.
     """
 
-    def __init__(
-        self, f: SampledField, desc: CrossSectionDescriptor, t_nodes: int = 32, fold: bool = True
-    ):
+    def __init__(self, f: SampledField, desc: CrossSectionDescriptor, t_nodes: int = 32):
         if f.has_group_axis:
             raise ValueError("nilpotent fields are spatial-only (exponential coordinates)")
         if f.grid.dim != desc.n:
             raise ValueError(f"field dimension {f.grid.dim} != descriptor n = {desc.n}")
         self.f = f
         self.desc = desc
-        self.W = np.asarray(f.grid.dual_half_extents)
         n_axes = len(desc.vanishing)
         self.t_sparse = []
         self.t_weights = np.ones((t_nodes,) * n_axes)
         for a, slot in enumerate(desc.vanishing):
-            T = self.W[slot - 1] * (1.0 - 1e-12)
+            T = f.grid.dual_half_extents[slot - 1] * (1.0 - 1e-12)
             t, w = _gauss_rule([(-T, T)], t_nodes)
             shape = [1] * a + [t_nodes] + [1] * (n_axes - a - 1)
             self.t_sparse.append(t.reshape(shape))
@@ -416,7 +417,7 @@ class _HsEvaluator:
         for i, (expr, reads_xi) in enumerate(zip(desc.substitute_exprs, self.reads_xi)):
             if not reads_xi:
                 axes, phase = self._phase(i, expr(env), per_point=False)
-                if fold and phase.size <= phase.shape[-1] ** 2:  # folding does not grow the base
+                if phase.size <= phase.shape[-1] ** 2:  # folding does not grow the base
                     terms.append(_t_letters(axes) + grid[i])
                     operands.append(phase)
                     self.base_axes.update(axes)
@@ -443,20 +444,14 @@ class _HsEvaluator:
         self._block = None  # points per block
 
     def _phase(self, i: int, c, per_point: bool):
-        """(t-axes c varies along, phase over (point axis +) those axes x grid axis i).
-
-        Entries whose coordinate leaves the dual box are masked to zero.
-        """
+        """(t-axes c varies along, phase over (point axis +) those axes x grid axis i)."""
         mesh = self.t_weights.shape
         c = np.asarray(c, dtype=float)
         lead = int(per_point)
         dims = (1,) * (lead + len(mesh) - c.ndim) + c.shape
         axes = [a for a, m in enumerate(dims[lead:]) if m > 1]
         c = c.reshape(dims[:lead] + tuple(mesh[a] for a in axes))  # drop the constant t-axes
-        x = self.f.grid.axis(i)
-        phase = _axis_phase(c.ravel(), x, -1.0).reshape(c.shape + x.shape)
-        phase[np.abs(c) > self.W[i]] = 0.0  # outside the dual box: masked, not budgeted
-        return axes, phase
+        return axes, _axis_phase(self.f.grid, i, c, -1.0)
 
     def _contraction(self, points):
         """(subscripts, operands, path, t-axes of the result) contracting the
@@ -536,7 +531,7 @@ def nilpotent_hs_norm_sq(
             f"|Pf(xi)| = {pf:.3e} inside the excluded band (eps = {EPS_SINGULAR})"
         )
     points = np.atleast_2d(np.asarray(xi_cross, dtype=float))
-    evaluator = _HsEvaluator(f, desc, t_nodes, fold=False)  # folding pays off over many points
+    evaluator = _HsEvaluator(f, desc, t_nodes)
     return abs(float(desc.h(xi))) * float(evaluator.t_integrals(points)[0])
 
 
@@ -726,11 +721,14 @@ def descriptor_from_json(data: dict) -> tuple[CrossSectionDescriptor, LieAlgebra
     Expressions use variables xi1..xin and t1..tk (t_a fills the a-th
     vanishing slot, ascending).  Substitute entries may be omitted: a
     vanishing slot defaults to its t variable, any other slot to its xi.
-    Raises ValueError naming the key on slots, variables, bounds pieces
-    or structure-constant indices that do not fit the descriptor.
+    Raises ValueError naming the key on a non-integer n or vanishing slot,
+    and on slots, variables, bounds pieces or structure-constant indices
+    that do not fit the descriptor.
     """
-    n = int(data["n"])
-    vanishing = tuple(sorted(int(j) for j in data["vanishing"]))
+    n = data["n"]
+    if not isinstance(n, int):
+        raise ValueError(f"n: {n!r} is not an integer")
+    vanishing = tuple(sorted(data["vanishing"]))
     given = data.get("substitute", {})
     stray = sorted(set(given) - {str(slot) for slot in range(1, n + 1)})
     if stray:

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's own evaluation paths: the Bessel
-function comes from its power series, the Hilbert-Schmidt norm oracle from
-naive nested Riemann/Gauss sums over explicitly built phase arrays.
+These deliberately avoid the library's own evaluation paths, and import
+nothing from it: the Bessel function comes from its power series, the
+Hilbert-Schmidt norm oracle from naive nested Riemann/Gauss sums over
+explicitly built phase arrays.
 """
 
 import numpy as np
@@ -29,25 +30,38 @@ def bessel_j(order: int, x) -> np.ndarray:
     return total
 
 
+def direct_transform(field_values, grid_axes, cell_volume, point, sign=-1.0) -> complex:
+    """sum_x f(x) exp(sign 2 pi i <x, point>) * cell_volume, term by term.
+
+    The full phase array over the grid is built for the one point and
+    summed, with no factorisation, reuse or out-of-box mask.
+    """
+    dim = len(grid_axes)
+    phase = np.zeros(field_values.shape)
+    for a in range(dim):
+        shape = [1] * dim
+        shape[a] = grid_axes[a].size
+        phase = phase + grid_axes[a].reshape(shape) * point[a]
+    return complex(np.sum(field_values * np.exp(sign * 2j * np.pi * phase)) * cell_volume)
+
+
 def brute_force_hs_norm_sq(field_values, grid_axes, cell_volume, h_abs, targets, t_weights):
     """|h| * sum_i w_i |F(f)(target_i)|^2 with a naive direct transform.
 
-    ``targets`` is (P, n); each transform value is computed by building the
-    full phase array over the grid and summing, with no factorisation or
-    reuse, so the only thing shared with the library path is the sample
-    data itself.
+    ``targets`` is (P, n); each transform value is a ``direct_transform``,
+    so the only thing shared with the library path is the sample data
+    itself.
     """
     total = 0.0
-    dim = len(grid_axes)
     for point, w in zip(targets, t_weights):
-        phase = np.zeros(field_values.shape)
-        for a in range(dim):
-            shape = [1] * dim
-            shape[a] = grid_axes[a].size
-            phase = phase + grid_axes[a].reshape(shape) * point[a]
-        val = np.sum(field_values * np.exp(-2j * np.pi * phase)) * cell_volume
-        total += w * abs(val) ** 2
+        total += w * abs(direct_transform(field_values, grid_axes, cell_volume, point)) ** 2
     return h_abs * total
+
+
+def plane_wave(lam, z1, z2, gamma):
+    """exp(-i lam (z1 cos gamma - z2 sin gamma)), the motion-group kernel
+    sampled at rotation angles gamma (arrays broadcast)."""
+    return np.exp(-1j * lam * (z1 * np.cos(gamma) - z2 * np.sin(gamma)))
 
 
 def brute_force_motion_ft(values, z1, z2, lam, m_max):
@@ -62,11 +76,9 @@ def brute_force_motion_ft(values, z1, z2, lam, m_max):
     """
     n = values.shape[-1]
     ang = 2.0 * np.pi * np.arange(n) / n
-    Z1 = z1[:, None, None, None]
-    Z2 = z2[None, :, None, None]
     TH = ang[None, None, :, None]
     GA = ang[None, None, None, :]
-    wave = np.exp(-1j * lam * (Z1 * np.cos(GA) - Z2 * np.sin(GA)))
+    wave = plane_wave(lam, z1[:, None, None, None], z2[None, :, None, None], GA)
     f = values[..., None]
     h2 = (z1[1] - z1[0]) * (z2[1] - z2[0])
     side = 2 * m_max + 1

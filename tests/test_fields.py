@@ -1,5 +1,6 @@
 """Grid, transform, moment and corpus tests against closed-form oracles."""
 
+import itertools
 import math
 import re
 import struct
@@ -23,14 +24,12 @@ from groupft.fields import (
     load_field,
     make_grid,
     moment_boundary_fraction,
-    nudft_at,
     save_field,
-    spectral_partial,
     tensor_dft,
     weighted_moment,
 )
 
-from .oracles import dense_box_transform
+from .oracles import dense_box_transform, direct_transform
 
 # closed-form Gaussian moments for f(x) = exp(-pi x^2):
 #   int exp(-2 pi x^2) dx            = 2^(-1/2)
@@ -197,39 +196,61 @@ class TestOddCounts:
         p = tmp_path / "odd.gfld"
         header = b"GFLD" + struct.pack("<III", 1, 1, 0) + struct.pack("<dQ", 4.0, 7)
         p.write_bytes(header + np.ones(7, dtype=np.complex128).tobytes())
-        with pytest.raises(ValueError, match="even"):
+        with pytest.raises(ValueError, match=re.escape(f"{p}: ") + ".*even"):
+            load_field(p)
+
+    @pytest.mark.parametrize("extent", [0.0, -4.0, math.nan])
+    def test_load_field_rejects_nonpositive_extent(self, tmp_path, extent):
+        p = tmp_path / "flat.gfld"
+        header = b"GFLD" + struct.pack("<III", 1, 1, 0) + struct.pack("<dQ", extent, 8)
+        p.write_bytes(header + np.ones(8, dtype=np.complex128).tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"{p}: ") + "half extents must be positive"):
             load_field(p)
 
 
+def spectral_partial(f: SampledField, axis: int) -> SampledField:
+    """d f / d x_axis as euclidean_ft, times 2 pi i xi_axis, then the inverse."""
+    fhat = euclidean_ft(f)
+    shape = [1] * fhat.values.ndim
+    shape[axis] = fhat.grid.counts[axis]
+    vals = fhat.values * (2j * np.pi * fhat.grid.axis(axis)).reshape(shape)
+    return inverse_euclidean_ft(SampledField(fhat.grid, vals, fhat.group_weights))
+
+
 class TestNudft:
+    """tensor_dft, the direct transform at arbitrary (off-grid) dual nodes."""
+
     def test_gaussian_off_grid(self, gauss1d):
-        val = nudft_at(gauss1d, [[0.3]])[0]
+        val = tensor_dft(gauss1d, [[0.3]])[0]
         assert val == pytest.approx(np.exp(-np.pi * 0.09), abs=1e-9)
 
     def test_matches_fft_on_grid(self, gauss1d):
         fhat = euclidean_ft(gauss1d)
         xi = fhat.grid.axis(0)[::97]
-        direct = nudft_at(gauss1d, xi[:, None])
+        direct = tensor_dft(gauss1d, [xi])
         scale = np.max(np.abs(fhat.values))
         assert np.max(np.abs(direct - fhat.values[::97])) <= 1e-12 * scale
 
     def test_zero_field(self, grid1d):
         z = SampledField(grid1d, np.zeros(grid1d.counts))
-        assert np.all(nudft_at(z, [[0.1], [0.2]]) == 0)
+        assert np.all(tensor_dft(z, [[0.1, 0.2]]) == 0)
 
-    def test_outside_dual_box_rejected(self, gauss1d):
-        W = gauss1d.grid.dual_half_extents[0]
-        with pytest.raises(AliasingError):
-            nudft_at(gauss1d, [[W * 1.01]])
-
-    def test_tensor_dft_matches_nudft(self):
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_tensor_dft_masks_beyond_dual_box(self, sign):
+        """Exactly 0 at a node beyond either axis's dual half-extent (W = 2),
+        the term-by-term sum everywhere else."""
         g = make_grid(2, [4.0, 4.0], [32, 32])
-        f = gaussian_packet(g, centers=[0.2, -0.1])
-        nodes = [np.array([-0.4, 0.3]), np.array([0.1, 0.7, -0.2])]
-        block = tensor_dft(f, nodes)
-        pts = [(a, b) for a in nodes[0] for b in nodes[1]]
-        direct = nudft_at(f, pts).reshape(2, 3)
-        assert np.max(np.abs(block - direct)) <= 1e-12
+        rng = np.random.default_rng(2)
+        f = SampledField(g, rng.standard_normal(g.counts) + 1j * rng.standard_normal(g.counts))
+        nodes = [np.array([-0.4, 2.0 * (1 + 1e-9), 1.3]), np.array([0.1, -2.0, -2.5, 1.9])]
+        block = tensor_dft(f, nodes, sign)
+        for (j, a), (k, b) in itertools.product(enumerate(nodes[0]), enumerate(nodes[1])):
+            if abs(a) > 2.0 or abs(b) > 2.0:
+                assert block[j, k] == 0.0
+            else:
+                want = direct_transform(f.values, g.axes(), g.cell_volume, (a, b), sign)
+                assert abs(block[j, k] - want) <= 1e-12 * np.abs(f.values).sum() * g.cell_volume
+        assert np.count_nonzero(block) == 2 * 3
 
 
 class TestSpectralPartial:

@@ -18,8 +18,6 @@ from groupft.motion import (
     MotionField,
     OperatorMatrix,
     make_lambda_grid,
-    mn_derivative_bound_slack,
-    mn_derivative_identity_residual,
     mn_ft,
     mn_hs_norm_sq,
     mn_hs_profile,
@@ -29,10 +27,10 @@ from groupft.motion import (
     mn_uncertainty,
     motion_corpus,
     motion_field,
-    pi_matrix_element,
 )
 
-from .oracles import bessel_j, brute_force_motion_ft, brute_force_tail_fraction
+from .oracles import bessel_j, brute_force_motion_ft, brute_force_tail_fraction, plane_wave
+from .test_fields import spectral_partial
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +62,8 @@ class TestKernel:
             phi = rng.uniform(0.0, 2 * np.pi)
             z = (r * np.cos(phi), r * np.sin(phi))
             m, n = int(rng.integers(-8, 9)), int(rng.integers(-8, 9))
-            got = abs(pi_matrix_element(lam, z, m, n, 128))
+            gam = 2.0 * np.pi * np.arange(128) / 128
+            got = abs(np.mean(plane_wave(lam, *z, gam) * np.exp(-1j * (m - n) * gam)))
             want = abs(float(bessel_j(n - m, lam * r)))
             assert got == pytest.approx(want, abs=1e-6)
 
@@ -182,6 +181,34 @@ class TestPlancherel:
         tiny = make_lambda_grid(0.5, panels=2, nodes_per_panel=4)
         with pytest.raises(SpectralTailError):
             mn_plancherel_ratio(corpus[0], tiny, 8)
+
+
+def d_z1(f: MotionField) -> MotionField:
+    return MotionField(spectral_partial(f.sampled, 0))
+
+
+def mn_derivative_identity_residual(f: MotionField, lam: float, m_max: int) -> float:
+    """Relative HS residual of (d f / d z1)^ = i lambda cos(theta) o fhat; 0 for f = 0.
+
+    Multiplication by cos(theta) is the tridiagonal C with C_{m, m+-1} = 1/2
+    on the input-character side, which shifts the column index; the matrix
+    at truncation m_max + 1 provides the one-band margin.
+    """
+    ext = mn_ft(f, lam, m_max + 1).matrix
+    scale = lam * np.sqrt(np.sum(np.abs(ext[1:-1, 1:-1]) ** 2))
+    if scale == 0.0:
+        return 0.0
+    lhs = mn_ft(d_z1(f), lam, m_max).matrix
+    rhs = 1j * lam * 0.5 * (ext[1:-1, :-2] + ext[1:-1, 2:])
+    return float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) / scale)
+
+
+def mn_derivative_bound_slack(f: MotionField, lam: float, m_max: int) -> float:
+    """(lambda ||fhat||_HS - ||(d1 f)^||_HS) / (lambda ||fhat||_HS); >= 0 in theory."""
+    denom = lam * np.sqrt(mn_hs_norm_sq(mn_ft(f, lam, m_max)))
+    if denom == 0.0:
+        return 0.0
+    return float((denom - np.sqrt(mn_hs_norm_sq(mn_ft(d_z1(f), lam, m_max)))) / denom)
 
 
 class TestDerivativeIdentity:

@@ -429,6 +429,8 @@ def test_w_nodes_reject_bounds_outside_dual_box(narrow_field):
         ({"bounds": {"1": [[0.05, 0.05]]}}, "bounds"),
         ({"bounds": {"1": [[-3.2, -0.05], [0.05, float("nan")]]}}, "bounds"),
         ({"bounds": {"1": []}}, "bounds"),
+        ({"n": 3.7}, "n"),
+        ({"vanishing": [2.5, 3]}, "vanishing"),
     ],
     ids=[
         "index-zero",
@@ -438,6 +440,8 @@ def test_w_nodes_reject_bounds_outside_dual_box(narrow_field):
         "piece-empty",
         "piece-nan",
         "no-pieces",
+        "n-fractional",
+        "vanishing-fractional",
     ],
 )
 def test_loader_rejects_broken_data(change, key):

@@ -1,5 +1,6 @@
-"""pyproject.toml promises only what the source tree ships, and the names the
-package exports or the benchmark traces still exist."""
+"""pyproject.toml promises only what the source tree ships, the names the
+package exports or the benchmark traces still exist, and the test oracles
+stay independent of the package."""
 
 import ast
 import importlib
@@ -59,3 +60,19 @@ def test_benchmark_targets_resolve():
         for part in attr.split("."):
             assert hasattr(obj, part), f"span {span!r}: groupft.{module_name}.{attr} is missing"
             obj = getattr(obj, part)
+
+
+def test_oracles_import_nothing_from_groupft():
+    """tests/oracles.py checks the library against code that shares none of
+    its paths, so it imports no groupft module, directly or through a
+    relative import of another test module."""
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    bad = [name for name in imported if name.startswith(".") or name.split(".")[0] == "groupft"]
+    assert not bad, f"tests/oracles.py imports {bad}"
