@@ -84,10 +84,11 @@ class FiniteGroupData:
             inv[g] = hits[0]
         return inv
 
-    def irrep_matrices_inv(self) -> list[np.ndarray]:
-        """sigma(k^{-1}) for every irrep, indexed by k."""
+    def entry_kernel(self) -> np.ndarray:
+        """(|K|, sum d^2) matrix whose row k lists the entries of sigma(k^{-1}),
+        irrep by irrep, each d x d block in row-major order."""
         inv = self.inverses()
-        return [m[inv] for m in self.irreps]
+        return np.concatenate([m[inv].reshape(self.order, -1) for m in self.irreps], axis=1)
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,6 @@ class CircleDual:
         return 2 * self.truncation + 1
 
     @property
-    def modes(self) -> np.ndarray:
-        return np.arange(-self.truncation, self.truncation + 1)
-
-    @property
     def thetas(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.order) / self.order
 
@@ -124,13 +121,10 @@ class CircleDual:
     def irrep_dims(self) -> tuple[int, ...]:
         return (1,) * self.order
 
-    def character_matrix(self) -> np.ndarray:
-        """(samples, modes) matrix chi_m(theta_j) = e^{i m theta_j}."""
-        return np.exp(1j * np.outer(self.thetas, self.modes))
-
-    def irrep_matrices_inv(self) -> list[np.ndarray]:
-        chi = np.exp(-1j * np.outer(self.modes, self.thetas))  # sigma_m(theta^{-1})
-        return [chi[i].reshape(self.order, 1, 1) for i in range(self.order)]
+    def entry_kernel(self) -> np.ndarray:
+        """(samples, modes) matrix sigma_m(theta_k^{-1}) = e^{-i m theta_k}."""
+        modes = np.arange(-self.truncation, self.truncation + 1)
+        return np.exp(-1j * np.outer(self.thetas, modes))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +233,11 @@ def validate_group(K: FiniteGroupData) -> list[str]:
     return report
 
 
+def _entry_weights(K: FiniteGroupData | CircleDual) -> np.ndarray:
+    """Plancherel weight d_sigma of every column of ``K.entry_kernel()``."""
+    return np.repeat(np.asarray(K.irrep_dims, dtype=np.float64), np.square(K.irrep_dims))
+
+
 def k_plancherel_defect(K: FiniteGroupData | CircleDual, phi) -> float:
     """| sum_sigma d_sigma ||phihat(sigma)||_HS^2  -  ||phi||_2^2 | on K."""
     phi = np.asarray(phi, dtype=np.complex128)
@@ -247,11 +246,8 @@ def k_plancherel_defect(K: FiniteGroupData | CircleDual, phi) -> float:
     if phi.shape != (K.order,):
         raise ValueError(f"phi must have shape ({K.order},)")
     w = K.haar_weights
-    dual_side = 0.0
-    for d, mats_inv in zip(K.irrep_dims, K.irrep_matrices_inv()):
-        phihat = np.tensordot(phi * w, mats_inv, axes=(0, 0))
-        dual_side += d * float(np.sum(np.abs(phihat) ** 2))
-    return abs(dual_side - float(np.sum(w * np.abs(phi) ** 2)))
+    dual_side = _entry_weights(K) @ np.abs((phi * w) @ K.entry_kernel()) ** 2
+    return abs(float(dual_side) - float(np.sum(w * np.abs(phi) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +272,42 @@ def group_to_json(K: FiniteGroupData) -> dict:
     return {"name": K.name, "order": K.order, "table": K.table.tolist(), "irreps": irreps}
 
 
+def _integers(value, label: str) -> np.ndarray:
+    """value as int64; ValueError naming ``label`` on an entry that is not a JSON integer."""
+    raw = np.asarray(value, dtype=object)
+    bad = [v for v in raw.flat if isinstance(v, bool) or not isinstance(v, int)]
+    if bad:
+        raise ValueError(f"{label}: {bad[0]!r} is not an integer")
+    return raw.astype(np.int64)
+
+
 def group_from_json(data: dict) -> FiniteGroupData:
-    order = int(data["order"])
-    table = np.asarray(data["table"], dtype=np.int64)
-    irreps = []
-    for item in data["irreps"]:
-        raw = np.asarray(item["matrices"], dtype=np.float64)
-        if raw.shape != (order, item["dim"], item["dim"], 2):
-            raise ValueError(f"irrep matrices have shape {raw.shape}")
-        irreps.append(raw[..., 0] + 1j * raw[..., 1])
+    """Build a group from its JSON dict (layout in ``group_to_json``).
+
+    Raises ValueError naming the key when a key is missing, when ``order``,
+    an irrep ``dim`` or a table entry is not an integer, and when an irrep's
+    matrices do not have the shape ``order`` and ``dim`` give.
+    """
+    try:
+        order = int(_integers(data["order"], "order"))
+        table = _integers(data["table"], "table")
+        irreps = []
+        for i, item in enumerate(data["irreps"]):
+            dim = int(_integers(item["dim"], f"irreps[{i}].dim"))
+            raw = np.asarray(item["matrices"], dtype=np.float64)
+            if raw.shape != (order, dim, dim, 2):
+                raise ValueError(f"irreps[{i}].matrices: shape {raw.shape} does not fit")
+            irreps.append(raw[..., 0] + 1j * raw[..., 1])
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]}: missing") from None
     return FiniteGroupData(str(data.get("name", "user")), table, tuple(irreps))
 
 
 def load_group_file(path) -> FiniteGroupData:
+    """Read a group file; a ValueError from ``group_from_json`` or the JSON
+    parser gets the path in front."""
     with open(path) as fh:
-        return group_from_json(json.load(fh))
+        try:
+            return group_from_json(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

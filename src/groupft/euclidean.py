@@ -87,12 +87,15 @@ def rn_uncertainty(f: SampledField, spec: MomentSpec) -> UncertaintyTerms:
     Raises ZeroFieldError for ||f|| = 0 and MomentDivergenceError when a
     moment integrand has not decayed inside the box.
     """
-    return _rn_terms(f, spec, _nonzero_norm_sq(f))
+    return _rn_terms(f, spec, _nonzero_norm_sq(f), euclidean_ft(f))
 
 
-def _rn_terms(f: SampledField, spec: MomentSpec, norm_sq: float) -> UncertaintyTerms:
-    """rn_uncertainty for a field whose nonzero ||f||^2 the caller has taken."""
-    momentum = checked_moment(euclidean_ft(f), 2.0 * spec.b, "frequency")
+def _rn_terms(
+    f: SampledField, spec: MomentSpec, norm_sq: float, fhat: SampledField
+) -> UncertaintyTerms:
+    """rn_uncertainty for a field whose nonzero ||f||^2 and dual field fhat the
+    caller has taken; fhat's group axis, if any, is summed with its weights."""
+    momentum = checked_moment(fhat, 2.0 * spec.b, "frequency")
     return _uncertainty_terms(f, spec, norm_sq, momentum, 4.0 * np.pi / f.grid.dim)
 
 
@@ -131,5 +134,5 @@ def dilation_sweep(f: SampledField, spec: MomentSpec, scales) -> list[Uncertaint
         ft_norm_sq = l2_norm_sq(ft)
         if abs(ft_norm_sq - norm_sq) > 1e-8 * norm_sq:
             raise DecayError(f"scale t={t} does not preserve the L2 norm on this grid")
-        out.append(_rn_terms(ft, spec, ft_norm_sq))
+        out.append(_rn_terms(ft, spec, ft_norm_sq, euclidean_ft(ft)))
     return out

@@ -13,9 +13,10 @@ FFT between two half-length rolls) is an exactly unitary approximation of
 the integral (Parseval holds to machine precision), so Plancherel defects
 measured later are genuine quadrature/truncation effects, not bookkeeping.
 
-A field may carry one trailing discrete axis (a compact-group coordinate)
-with quadrature weights summing to 1; norms and moments sum over it, the
-Fourier transform acts on the spatial axes only.
+A field may carry one trailing discrete axis with positive weights, which
+norms and moments sum against and the Fourier transform leaves alone: Haar
+weights summing to 1 over the samples of a compact group K, or Plancherel
+weights d_sigma over the entries fhat(y, sigma) of an R^n x K dual.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class Grid:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        if not self.half_extents or len(self.half_extents) != len(self.counts):
+            raise ValueError(f"need one count per half extent, got {self}")
         for L, N in zip(self.half_extents, self.counts):
             if not np.isfinite(L) or L <= 0.0:
                 raise ValueError(f"half extents must be positive, got {L}")
@@ -135,8 +138,10 @@ class SampledField:
     """Complex samples on a Grid, optionally crossed with a discrete group axis.
 
     ``values`` has shape ``grid.counts`` (plus one trailing axis of size
-    ``len(group_weights)`` when a group coordinate is present).  Instances
-    are immutable; the value array is marked read-only.
+    ``len(group_weights)`` when a group coordinate is present; its positive
+    weights are Haar weights summing to 1 on K, or the Plancherel weights
+    d_sigma on the entries of an R^n x K dual).  Instances are immutable;
+    the value array is marked read-only.
     """
 
     grid: Grid
@@ -254,6 +259,8 @@ def moment_boundary_fraction(f: SampledField, exponent: float) -> float:
     Large values mean the moment is dominated by the box edge and cannot
     be trusted (the underlying integral may diverge).
     """
+    if exponent < 0:
+        raise ValueError(f"moment exponent must be >= 0, got {exponent}")
     dens = _group_density(f) * f.grid.radius_sq() ** (exponent / 2.0)
     total = float(dens.sum())
     if total <= 0.0:

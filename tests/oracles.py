@@ -58,6 +58,31 @@ def brute_force_hs_norm_sq(field_values, grid_axes, cell_volume, h_abs, targets,
     return h_abs * total
 
 
+def peter_weyl_blocks(values, weights, irreps, inverses):
+    """phihat(sigma) = sum_k w_k values[..., k] sigma(k^{-1}), one irrep at a time.
+
+    ``irreps`` lists the (|K|, d, d) arrays sigma(k) and ``inverses[k]`` is
+    the label of k^{-1}; each block is one tensordot over the trailing group
+    axis, giving a list of (..., d, d) arrays with no shared kernel matrix.
+    """
+    return [np.tensordot(values * weights, m[inverses], axes=(-1, 0)) for m in irreps]
+
+
+def group_irreps(group):
+    """(irreps, inverses) of a K type, read off its own data.
+
+    A finite group gives its shipped matrices and the inverses found in its
+    table.  The sampled circle gives the characters e^{i m theta},
+    |m| <= truncation, as (samples, 1, 1) arrays, with theta_k^{-1} the
+    sample theta_{-k mod n}.
+    """
+    if hasattr(group, "irreps"):
+        return group.irreps, group.inverses()
+    modes = range(-group.truncation, group.truncation + 1)
+    chars = [np.exp(1j * m * group.thetas).reshape(-1, 1, 1) for m in modes]
+    return chars, -np.arange(group.order) % group.order
+
+
 def plane_wave(lam, z1, z2, gamma):
     """exp(-i lam (z1 cos gamma - z2 sin gamma)), the motion-group kernel
     sampled at rotation angles gamma (arrays broadcast)."""

@@ -1,6 +1,8 @@
 """Finite-group and circle representation machinery."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,10 @@ from groupft.compact import (
     symmetric_group_3,
     validate_group,
 )
+
+from .oracles import group_irreps, peter_weyl_blocks
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -101,14 +107,31 @@ class TestKPlancherel:
         K = CircleDual(8)
         rng = np.random.default_rng(3)
         coef = rng.standard_normal(2 * 8 + 1) + 1j * rng.standard_normal(2 * 8 + 1)
-        phi = K.character_matrix() @ coef
+        phi = K.entry_kernel().conj() @ coef
         assert k_plancherel_defect(K, phi) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "K", [symmetric_group_3(), cyclic_group(4), CircleDual(5)], ids=["s3", "z4", "circle5"]
+    )
+    def test_matches_per_irrep_loop(self, K):
+        rng = np.random.default_rng(6)
+        phi = rng.standard_normal(K.order) + 1j * rng.standard_normal(K.order)
+        w = K.haar_weights
+        want = peter_weyl_blocks(phi, w, *group_irreps(K))
+        # the kernel k_plancherel_defect applies holds these blocks' entries, row-major
+        got = (phi * w) @ K.entry_kernel()
+        assert np.max(np.abs(got - np.concatenate([b.ravel() for b in want]))) <= 1e-15
+        dual_side = sum(b.shape[-1] * np.sum(np.abs(b) ** 2) for b in want)
+        norm_sq = np.sum(w * np.abs(phi) ** 2)
+        loop_defect = abs(dual_side - norm_sq)
+        assert loop_defect <= 1e-14 * norm_sq
+        assert abs(k_plancherel_defect(K, phi) - loop_defect) <= 1e-14 * norm_sq
 
 
 class TestCircleDual:
     def test_characters_orthonormal(self):
         K = CircleDual(6)
-        chi = K.character_matrix()
+        chi = K.entry_kernel().conj()
         gram = chi.conj().T @ (chi * K.haar_weights[:, None])
         assert np.max(np.abs(gram - np.eye(K.order))) <= 1e-12
 
@@ -116,7 +139,7 @@ class TestCircleDual:
         K = CircleDual(7)
         rng = np.random.default_rng(4)
         coef = rng.standard_normal(K.order) + 1j * rng.standard_normal(K.order)
-        chi = K.character_matrix()
+        chi = K.entry_kernel().conj()
         phi = chi @ coef
         recovered = chi.conj().T @ (phi * K.haar_weights)
         assert np.max(np.abs(recovered - coef)) <= 1e-10
@@ -142,3 +165,33 @@ class TestGroupFiles:
         data["irreps"][0]["matrices"] = data["irreps"][0]["matrices"][:3]
         with pytest.raises(ValueError):
             group_from_json(data)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(order=6.9), "order: 6.9 is not an integer"),
+            (lambda d: d.update(order=True), "order: True is not an integer"),
+            (lambda d: d["table"][1].__setitem__(2, True), "table: True is not an integer"),
+            (lambda d: d["table"][1].__setitem__(2, 2.7), "table: 2.7 is not an integer"),
+            (lambda d: d["irreps"][2].update(dim=2.0), r"irreps\[2\].dim: 2.0 is not an integer"),
+            (lambda d: d.pop("order"), "order: missing"),
+            (lambda d: d.pop("table"), "table: missing"),
+            (lambda d: d.pop("irreps"), "irreps: missing"),
+        ],
+        ids=["float-order", "bool-order", "bool-entry", "float-entry", "float-dim"]
+        + ["no-order", "no-table", "no-irreps"],
+    )
+    def test_bad_key_named(self, tmp_path, s3, edit, message):
+        data = group_to_json(s3)
+        edit(data)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            group_from_json(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_group_file(path)
+
+    def test_benchmark_group_file_loads_and_validates(self):
+        K = load_group_file(ROOT / "perfbench" / "data" / "s3.json")
+        assert K.irrep_dims == (1, 1, 2)
+        assert validate_group(K) == []

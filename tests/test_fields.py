@@ -72,6 +72,12 @@ class TestMakeGrid:
         g = make_grid(2, [6.0, 4.0], [128, 64])
         assert g.dual().dual() == g
 
+    @pytest.mark.parametrize("extents, counts", [((5.0,), (8, 8)), ((5.0, 5.0), (8,)), ((), ())])
+    def test_grid_rejects_mismatched_or_empty_axes(self, extents, counts):
+        # a 1-D cell volume over 8 x 8 samples would read a ones field's norm as 80
+        with pytest.raises(ValueError, match="one count per half extent"):
+            Grid(extents, counts)
+
 
 class TestNorms:
     def test_gaussian_l2(self, gauss1d):
@@ -99,6 +105,11 @@ class TestNorms:
     def test_moment_rejects_negative_exponent(self, gauss1d):
         with pytest.raises(ValueError):
             weighted_moment(gauss1d, -1.0)
+
+    def test_boundary_fraction_rejects_negative_exponent(self, gauss1d):
+        # every even-count grid has a node at the origin, where |x|^-2 is infinite
+        with pytest.raises(ValueError, match="exponent"):
+            moment_boundary_fraction(gauss1d, -2.0)
 
     def test_moment_exponent_zero_is_l2(self, gauss1d):
         assert weighted_moment(gauss1d, 0.0) == l2_norm_sq(gauss1d)

@@ -5,14 +5,26 @@ import pytest
 
 from groupft.compact import CircleDual, cyclic_group, symmetric_group_3
 from groupft.errors import MomentDivergenceError, ZeroFieldError
-from groupft.fields import MomentSpec, gaussian_packet, l2_norm_sq, make_grid
+from groupft.fields import (
+    MomentSpec,
+    SampledField,
+    euclidean_ft,
+    gaussian_packet,
+    l2_norm_sq,
+    make_grid,
+)
 from groupft.product import (
+    ProductField,
     make_product_field,
     product_corpus,
     product_ft,
     product_plancherel_ratio,
     product_uncertainty,
 )
+
+from .oracles import group_irreps, peter_weyl_blocks
+
+GROUPS = {"s3": symmetric_group_3, "z4": lambda: cyclic_group(4), "circle5": lambda: CircleDual(5)}
 
 
 @pytest.fixture(scope="module")
@@ -30,15 +42,42 @@ def constant_in_k(grid, group, g_vals):
     return make_product_field(grid, group, vals)
 
 
+def blocks(dual, dims):
+    """Split product_ft's entries axis into one (..., d, d) block per irrep."""
+    ends = np.cumsum([d * d for d in dims])
+    parts = np.split(dual.values, ends[:-1], axis=-1)
+    return [p.reshape(p.shape[:-1] + (d, d)) for p, d in zip(parts, dims)]
+
+
+def hs_density(dual, dims):
+    """sum_sigma d_sigma ||fhat(y, sigma)||_HS^2, read block by block."""
+    return sum(d * np.sum(np.abs(b) ** 2, axis=(-2, -1)) for d, b in zip(dims, blocks(dual, dims)))
+
+
 class TestProductFT:
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_entries_match_per_irrep_loop(self, grid1d, name):
+        group = GROUPS[name]()
+        pf = product_corpus(grid1d, group, 11, 1)[0]
+        dual = product_ft(pf)
+        f1 = euclidean_ft(pf.base).values
+        want = peter_weyl_blocks(f1, pf.base.group_weights, *group_irreps(group))
+        assert [b.shape[-1] for b in want] == list(group.irrep_dims)
+        scale = max(np.max(np.abs(b)) for b in want)
+        for got, ref in zip(blocks(dual, group.irrep_dims), want):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+        weights = np.concatenate([np.full(d * d, float(d)) for d in group.irrep_dims])
+        assert dual.grid == grid1d.dual()
+        assert np.array_equal(dual.group_weights, weights)
+
     def test_constant_in_k_kills_nontrivial_irreps(self, grid1d, s3):
         g = gaussian_packet(grid1d)
         pf = constant_in_k(grid1d, s3, g.values)
-        dual = product_ft(pf)
-        scale = np.max(np.abs(dual.blocks[0]))
+        trivial, sign, standard = blocks(product_ft(pf), s3.irrep_dims)
+        scale = np.max(np.abs(trivial))
         # sum_k sigma(k^{-1}) = 0 for nontrivial sigma
-        assert np.max(np.abs(dual.blocks[1])) <= 1e-12 * scale
-        assert np.max(np.abs(dual.blocks[2])) <= 1e-12 * scale
+        assert np.max(np.abs(sign)) <= 1e-12 * scale
+        assert np.max(np.abs(standard)) <= 1e-12 * scale
 
     def test_identity_indicator_gives_scaled_identity(self, grid1d, s3):
         g = gaussian_packet(grid1d)
@@ -46,25 +85,21 @@ class TestProductFT:
         vals[:, 0] = g.values
         pf = make_product_field(grid1d, s3, vals)
         dual = product_ft(pf)
-        ghat = np.exp(-np.pi * dual.dual_grid.axis(0) ** 2)
-        for blk, d in zip(dual.blocks, s3.irrep_dims):
+        ghat = np.exp(-np.pi * dual.grid.axis(0) ** 2)
+        for blk, d in zip(blocks(dual, s3.irrep_dims), s3.irrep_dims):
             expected = (ghat / 6.0)[:, None, None] * np.eye(d)
             assert np.max(np.abs(blk - expected)) <= 1e-9
 
     def test_zero_field(self, grid1d, s3):
         pf = make_product_field(grid1d, s3, np.zeros((1024, 6)))
-        dual = product_ft(pf)
-        assert all(np.all(blk == 0) for blk in dual.blocks)
+        assert np.all(product_ft(pf).values == 0)
 
     def test_fubini_factorisation(self, grid1d, s3):
         # K-transform first, Euclidean second must agree with product_ft
         pf = product_corpus(grid1d, s3, 17, 1)[0]
-        dual = product_ft(pf)
-        from groupft.fields import SampledField, euclidean_ft
-
-        w = pf.base.group_weights
-        for blk, mats_inv in zip(dual.blocks, s3.irrep_matrices_inv()):
-            k_first = np.tensordot(pf.base.values * w, mats_inv, axes=(-1, 0))
+        dual = blocks(product_ft(pf), s3.irrep_dims)
+        k_blocks = peter_weyl_blocks(pf.base.values, pf.base.group_weights, *group_irreps(s3))
+        for blk, k_first in zip(dual, k_blocks):
             d = k_first.shape[-1]
             other = np.empty_like(k_first)
             for i in range(d):
@@ -126,9 +161,9 @@ class TestProductUncertainty:
         # int |y|^2 sum d ||fhat||^2 dy <= (int |y|^{2b} ...)^{1/b} (||f||^2)^{1-1/b}
         for pf in product_corpus(grid1d, s3, 41, 4):
             dual = product_ft(pf)
-            dens = dual.hs_density()
-            r2 = dual.dual_grid.radius_sq()
-            vol = dual.dual_grid.cell_volume
+            dens = hs_density(dual, s3.irrep_dims)
+            r2 = dual.grid.radius_sq()
+            vol = dual.grid.cell_volume
             lhs = float((r2 * dens).sum()) * vol
             norm_sq = l2_norm_sq(pf.base)
             for b in (1.5, 2.0):
@@ -144,9 +179,6 @@ class TestValidation:
             make_product_field(grid1d, s3, np.zeros((1024, 5)))
 
     def test_weight_mismatch(self, grid1d, s3):
-        from groupft.fields import SampledField
-        from groupft.product import ProductField
-
         w = np.full(6, 1.0 / 6.0)
         w[0] += 1e-6
         w[1] -= 1e-6
