@@ -285,14 +285,18 @@ def group_from_json(data: dict) -> FiniteGroupData:
     """Build a group from its JSON dict (layout in ``group_to_json``).
 
     Raises ValueError naming the key when a key is missing, when ``order``,
-    an irrep ``dim`` or a table entry is not an integer, and when an irrep's
-    matrices do not have the shape ``order`` and ``dim`` give.
+    an irrep ``dim`` or a table entry is not an integer, when ``irreps`` is
+    not a list of objects, and when an irrep's matrices do not have the
+    shape ``order`` and ``dim`` give.
     """
     try:
         order = int(_integers(data["order"], "order"))
         table = _integers(data["table"], "table")
+        items = data["irreps"]
+        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+            raise ValueError("irreps: not a list of objects")
         irreps = []
-        for i, item in enumerate(data["irreps"]):
+        for i, item in enumerate(items):
             dim = int(_integers(item["dim"], f"irreps[{i}].dim"))
             raw = np.asarray(item["matrices"], dtype=np.float64)
             if raw.shape != (order, dim, dim, 2):

@@ -12,6 +12,8 @@ x_j * xi_k = (j - N/2)(k - N/2)/N exactly, and the discrete transform (an
 FFT between two half-length rolls) is an exactly unitary approximation of
 the integral (Parseval holds to machine precision), so Plancherel defects
 measured later are genuine quadrature/truncation effects, not bookkeeping.
+The FFT runs in place on the copy the first roll makes, because touching
+freshly allocated per-axis output arrays costs more than the transform.
 
 A field may carry one trailing discrete axis with positive weights, which
 norms and moments sum against and the Fourier transform leaves alone: Haar
@@ -243,10 +245,10 @@ def l2_norm_sq(f: SampledField) -> float:
 def weighted_moment(f: SampledField, exponent: float) -> float:
     """Quadrature of int |x|^exponent |f(x)|^2 dx (group axis summed).
 
-    ``exponent`` must be nonnegative; exponent 0 reproduces l2_norm_sq
-    exactly (0^0 is taken as 1).
+    ``exponent`` must be nonnegative (a NaN raises ValueError too); exponent
+    0 reproduces l2_norm_sq exactly (0^0 is taken as 1).
     """
-    if exponent < 0:
+    if not exponent >= 0:
         raise ValueError(f"moment exponent must be >= 0, got {exponent}")
     dens = _group_density(f)
     r2 = f.grid.radius_sq()
@@ -257,9 +259,10 @@ def moment_boundary_fraction(f: SampledField, exponent: float) -> float:
     """Fraction of the moment integrand mass carried by boundary cells.
 
     Large values mean the moment is dominated by the box edge and cannot
-    be trusted (the underlying integral may diverge).
+    be trusted (the underlying integral may diverge).  A negative or NaN
+    ``exponent`` raises ValueError.
     """
-    if exponent < 0:
+    if not exponent >= 0:
         raise ValueError(f"moment exponent must be >= 0, got {exponent}")
     dens = _group_density(f) * f.grid.radius_sq() ** (exponent / 2.0)
     total = float(dens.sum())
@@ -271,10 +274,17 @@ def moment_boundary_fraction(f: SampledField, exponent: float) -> float:
 
 def _centred_fft(f: SampledField, transform, scale: float) -> SampledField:
     """``transform`` (np.fft.fftn or ifftn) of the spatial axes between two
-    half-length rolls, scaled in place once the rolled input is freed; a
-    group axis keeps its order."""
+    half-length rolls, scaled in place; a group axis keeps its order.
+
+    The transform runs in place (``out=``, numpy >= 2.0) on the rolled
+    copy of the input, which this function owns; the field's own values are
+    never written.  Without ``out=`` numpy allocates a fresh full-size
+    output for each axis, and first-touching those pages costs more than
+    the transform itself.  The arithmetic is the same, so the values are
+    the same bits."""
     axes = tuple(range(f.grid.dim))
-    vals = np.fft.fftshift(transform(np.fft.fftshift(f.values, axes), axes=axes), axes)
+    rolled = np.fft.fftshift(f.values, axes)
+    vals = np.fft.fftshift(transform(rolled, axes=axes, out=rolled), axes)
     vals *= scale
     return SampledField(f.grid.dual(), vals, f.group_weights)
 
@@ -286,6 +296,8 @@ def euclidean_ft(f: SampledField) -> SampledField:
     points; exact Parseval partner of inverse_euclidean_ft.  Counts are even,
     so x_j * xi_k = (j - N/2)(k - N/2)/N and the sum is fftn between two
     half-length rolls of the spatial axes; a group axis passes untouched.
+    The FFT runs in place on the copy the first roll makes (see
+    ``_centred_fft``); ``f`` itself is never written.
     """
     return _centred_fft(f, np.fft.fftn, f.grid.cell_volume)
 
@@ -314,10 +326,13 @@ def tensor_dft(f: SampledField, axis_nodes, sign: float = -1.0) -> np.ndarray:
     axis contractions (no FFT, no interpolation).  Cost is one pass over
     the sample array per leading node axis.  A node beyond its axis's dual
     half-extent contributes exactly 0 (``_axis_phase``'s mask): the grid
-    cannot tell that frequency from its aliases.
+    cannot tell that frequency from its aliases.  ValueError unless there
+    is exactly one node list per grid axis.
     """
     if f.has_group_axis:
         raise ValueError("tensor_dft applies to spatial-only fields")
+    if len(axis_nodes) != f.grid.dim:
+        raise ValueError(f"tensor_dft needs {f.grid.dim} node lists, got {len(axis_nodes)}")
     T = f.values
     for i in range(f.grid.dim):
         # contract the current leading spatial axis; node axis lands at the end

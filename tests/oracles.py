@@ -166,3 +166,16 @@ def dense_box_transform(values, half_extents, inverse=False):
         volume = np.prod([2.0 * L / N for L, N in zip(half_extents, counts)])
     flat = values.reshape(matrix.shape[1], -1)
     return (matrix @ flat * volume).reshape(values.shape)
+
+
+def centred_fft_out_of_place(values, dim, scale, inverse=False):
+    """fftshift(fftn | ifftn(fftshift(values))) * scale over the leading
+    ``dim`` axes, every step into a fresh array.
+
+    Each roll, the transform and the scale allocate their own output, so
+    this is the reference an in-place centred transform must match bit for
+    bit.  Trailing (group) axes are left alone.
+    """
+    axes = tuple(range(dim))
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    return np.fft.fftshift(transform(np.fft.fftshift(values, axes), axes=axes), axes) * scale

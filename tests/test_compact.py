@@ -177,9 +177,11 @@ class TestGroupFiles:
             (lambda d: d.pop("order"), "order: missing"),
             (lambda d: d.pop("table"), "table: missing"),
             (lambda d: d.pop("irreps"), "irreps: missing"),
+            (lambda d: d.update(irreps=5), "irreps: not a list of objects"),
+            (lambda d: d.update(irreps=[5]), "irreps: not a list of objects"),
         ],
         ids=["float-order", "bool-order", "bool-entry", "float-entry", "float-dim"]
-        + ["no-order", "no-table", "no-irreps"],
+        + ["no-order", "no-table", "no-irreps", "int-irreps", "int-irrep"],
     )
     def test_bad_key_named(self, tmp_path, s3, edit, message):
         data = group_to_json(s3)

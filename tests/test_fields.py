@@ -29,7 +29,7 @@ from groupft.fields import (
     weighted_moment,
 )
 
-from .oracles import dense_box_transform, direct_transform
+from .oracles import centred_fft_out_of_place, dense_box_transform, direct_transform
 
 # closed-form Gaussian moments for f(x) = exp(-pi x^2):
 #   int exp(-2 pi x^2) dx            = 2^(-1/2)
@@ -110,6 +110,11 @@ class TestNorms:
         # every even-count grid has a node at the origin, where |x|^-2 is infinite
         with pytest.raises(ValueError, match="exponent"):
             moment_boundary_fraction(gauss1d, -2.0)
+
+    @pytest.mark.parametrize("moment", [weighted_moment, moment_boundary_fraction])
+    def test_moment_rejects_nan_exponent(self, gauss1d, moment):
+        with pytest.raises(ValueError, match="exponent"):
+            moment(gauss1d, math.nan)
 
     def test_moment_exponent_zero_is_l2(self, gauss1d):
         assert weighted_moment(gauss1d, 0.0) == l2_norm_sq(gauss1d)
@@ -193,6 +198,43 @@ class TestTransformOracle:
         assert np.max(np.abs(back.values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+class TestInPlaceTransform:
+    """The centred FFT runs in place on its own rolled copy: the same bits as
+    the out-of-place roll-transform-roll, and the input field untouched."""
+
+    CASES = [
+        ((1024,), (8.0,), None),
+        ((64, 64), (4.0, 5.0), None),
+        ((16, 16, 16), (2.0, 2.5, 3.0), None),
+        ((6,), (3.0,), None),
+        ((10,), (2.5,), None),
+        ((16, 16), (3.0, 2.0), 5),
+    ]
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    @pytest.mark.parametrize(
+        "counts, extents, k", CASES, ids=["1024", "64x64", "16x16x16", "6", "10", "16x16x5"]
+    )
+    def test_bit_identical_and_input_untouched(self, counts, extents, k, inverse):
+        grid = make_grid(len(counts), extents, counts)
+        shape = counts + (() if k is None else (k,))
+        rng = np.random.default_rng(7)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = SampledField(grid, vals, None if k is None else np.full(k, 1.0 / k))
+        saved = f.values.copy()
+        if inverse:
+            out = inverse_euclidean_ft(f)
+            scale = np.prod(grid.counts) * grid.cell_volume
+        else:
+            out = euclidean_ft(f)
+            scale = grid.cell_volume
+        want = centred_fft_out_of_place(saved, grid.dim, scale, inverse)
+        assert np.array_equal(out.values, want)
+        assert np.array_equal(f.values, saved)
+        assert not f.values.flags.writeable
+        assert not np.shares_memory(out.values, f.values)
+
+
 class TestOddCounts:
     def test_make_grid_rejects_odd_count(self):
         with pytest.raises(ValueError, match="even"):
@@ -245,6 +287,12 @@ class TestNudft:
     def test_zero_field(self, grid1d):
         z = SampledField(grid1d, np.zeros(grid1d.counts))
         assert np.all(tensor_dft(z, [[0.1, 0.2]]) == 0)
+
+    @pytest.mark.parametrize("lists", [1, 3])
+    def test_tensor_dft_needs_one_node_list_per_axis(self, lists):
+        f = gaussian_packet(make_grid(2, [4.0, 4.0], [16, 16]))
+        with pytest.raises(ValueError, match=f"needs 2 node lists, got {lists}"):
+            tensor_dft(f, [np.linspace(-1.0, 1.0, 5)] * lists)
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_tensor_dft_masks_beyond_dual_box(self, sign):
