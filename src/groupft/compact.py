@@ -11,22 +11,22 @@ character theory), which keeps every invariant exhaustively checkable.
 The circle carries the character basis e^{i m theta}, |m| <= M, sampled
 at 2M+1 uniform points where the discrete orthogonality is exact.
 
-Group definition files are JSON; see ``group_to_json`` for the exact
-layout.
+Group definition files are JSON, laid out as ``_GROUP_FORMAT`` says; the
+built-in groups are such files in ``data/``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+from ._jsonfile import check, load
 
 __all__ = [
     "FiniteGroupData",
     "CircleDual",
-    "cyclic_group",
-    "symmetric_group_3",
     "builtin_group",
     "validate_group",
     "k_plancherel_defect",
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-12
+_DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 @dataclass(frozen=True)
@@ -128,61 +129,6 @@ class CircleDual:
 
 
 # ---------------------------------------------------------------------------
-# built-in groups
-# ---------------------------------------------------------------------------
-
-
-def cyclic_group(n: int = 4) -> FiniteGroupData:
-    """Z_n with its n one-dimensional characters chi_k(m) = e^{2 pi i km/n}."""
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    irreps = []
-    for k in range(n):
-        chars = np.exp(2j * np.pi * k * np.arange(n) / n)
-        irreps.append(chars.reshape(n, 1, 1))
-    return FiniteGroupData(f"z{n}", table, tuple(irreps))
-
-
-def symmetric_group_3() -> FiniteGroupData:
-    """S_3 as the dihedral group of the triangle: irrep dims (1, 1, 2).
-
-    Elements 0..5 are e, r, r^2, s, sr, sr^2 with r the rotation by 2 pi/3
-    and s a reflection; the table comes from composing the underlying
-    permutations of {0,1,2}, the 2-dim irrep from the rotation/reflection
-    matrices themselves.
-    """
-    r = (1, 2, 0)
-    s = (0, 2, 1)
-
-    def compose(p, q):  # (p o q)(i) = p[q[i]]
-        return tuple(p[q[i]] for i in range(3))
-
-    perms = [(0, 1, 2), r, compose(r, r)]
-    perms += [compose(s, p) for p in perms[:3]]
-    index = {p: i for i, p in enumerate(perms)}
-    table = np.array([[index[compose(p, q)] for q in perms] for p in perms])
-
-    rot = lambda t: np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-    ref = np.diag([1.0, -1.0])
-    two_dim = [np.eye(2), rot(2 * np.pi / 3), rot(4 * np.pi / 3)]
-    two_dim += [ref @ m for m in two_dim[:3]]
-
-    trivial = np.ones((6, 1, 1), dtype=complex)
-    sign = np.array([1, 1, 1, -1, -1, -1], dtype=complex).reshape(6, 1, 1)
-    standard = np.stack(two_dim).astype(complex)
-    return FiniteGroupData("s3", table, (trivial, sign, standard))
-
-
-_BUILTINS = {"z4": lambda: cyclic_group(4), "s3": symmetric_group_3}
-
-
-def builtin_group(name: str) -> FiniteGroupData:
-    try:
-        return _BUILTINS[name.lower()]()
-    except KeyError:
-        raise ValueError(f"unknown built-in group {name!r}; have {sorted(_BUILTINS)}") from None
-
-
-# ---------------------------------------------------------------------------
 # validation and Plancherel
 # ---------------------------------------------------------------------------
 
@@ -256,15 +202,8 @@ def k_plancherel_defect(K: FiniteGroupData | CircleDual, phi) -> float:
 
 
 def group_to_json(K: FiniteGroupData) -> dict:
-    """Bit-exact JSON layout: complex entries as [re, im] pairs.
-
-    {
-      "name": str,
-      "order": int,
-      "table": [[int, ...], ...],                     # row g, column h -> g*h
-      "irreps": [{"dim": d, "matrices": [...]}, ...]  # matrices[k][i][j] = [re, im]
-    }
-    """
+    """Bit-exact JSON dict of a group, laid out as ``_GROUP_FORMAT`` says:
+    table row g, column h holds g*h, and matrices[k][i][j] = [re, im]."""
     irreps = []
     for mats in K.irreps:
         entries = np.stack([mats.real, mats.imag], axis=-1)
@@ -272,46 +211,53 @@ def group_to_json(K: FiniteGroupData) -> dict:
     return {"name": K.name, "order": K.order, "table": K.table.tolist(), "irreps": irreps}
 
 
-def _integers(value, label: str) -> np.ndarray:
-    """value as int64; ValueError naming ``label`` on an entry that is not a JSON integer."""
-    raw = np.asarray(value, dtype=object)
-    bad = [v for v in raw.flat if isinstance(v, bool) or not isinstance(v, int)]
-    if bad:
-        raise ValueError(f"{label}: {bad[0]!r} is not an integer")
-    return raw.astype(np.int64)
+_GROUP_FORMAT = {  # read by _jsonfile.check
+    "name?": "string",
+    "order": "integer",
+    "table": [["integer"]],
+    "irreps": [{"dim": "integer", "matrices": [[[["finite number", "finite number"]]]]}],
+}
+
+
+def _array(value, dtype, shape, label: str) -> np.ndarray:
+    """value as an array of ``shape``; ValueError naming ``label`` otherwise."""
+    try:
+        arr = np.asarray(value, dtype=dtype)
+    except (ValueError, OverflowError) as exc:  # ragged nesting, or beyond int64
+        raise ValueError(f"{label}: {exc}") from None
+    if arr.shape != shape:
+        raise ValueError(f"{label}: shape {arr.shape} does not fit {shape}")
+    return arr
 
 
 def group_from_json(data: dict) -> FiniteGroupData:
-    """Build a group from its JSON dict (layout in ``group_to_json``).
+    """Build a group from its JSON dict, laid out as ``_GROUP_FORMAT`` says
+    (``group_to_json`` writes it).
 
-    Raises ValueError naming the key when a key is missing, when ``order``,
-    an irrep ``dim`` or a table entry is not an integer, when ``irreps`` is
-    not a list of objects, and when an irrep's matrices do not have the
-    shape ``order`` and ``dim`` give.
+    Raises ValueError naming the key when the file does not fit that format
+    and when the table or an irrep's matrices do not have the shape
+    ``order`` and ``dim`` give.
     """
-    try:
-        order = int(_integers(data["order"], "order"))
-        table = _integers(data["table"], "table")
-        items = data["irreps"]
-        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
-            raise ValueError("irreps: not a list of objects")
-        irreps = []
-        for i, item in enumerate(items):
-            dim = int(_integers(item["dim"], f"irreps[{i}].dim"))
-            raw = np.asarray(item["matrices"], dtype=np.float64)
-            if raw.shape != (order, dim, dim, 2):
-                raise ValueError(f"irreps[{i}].matrices: shape {raw.shape} does not fit")
-            irreps.append(raw[..., 0] + 1j * raw[..., 1])
-    except KeyError as exc:
-        raise ValueError(f"{exc.args[0]}: missing") from None
-    return FiniteGroupData(str(data.get("name", "user")), table, tuple(irreps))
+    check(data, _GROUP_FORMAT)
+    order = data["order"]
+    table = _array(data["table"], np.int64, (order, order), "table")
+    irreps = []
+    for i, item in enumerate(data["irreps"]):
+        shape = (order, item["dim"], item["dim"], 2)
+        raw = _array(item["matrices"], np.float64, shape, f"irreps[{i}].matrices")
+        irreps.append(raw[..., 0] + 1j * raw[..., 1])
+    return FiniteGroupData(data.get("name", "user"), table, tuple(irreps))
 
 
 def load_group_file(path) -> FiniteGroupData:
     """Read a group file; a ValueError from ``group_from_json`` or the JSON
     parser gets the path in front."""
-    with open(path) as fh:
-        try:
-            return group_from_json(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    return load(path, group_from_json)
+
+
+def builtin_group(name: str) -> FiniteGroupData:
+    """Built-in finite group "s3" (irrep dims 1, 1, 2) or "z4", any case, loaded
+    from the shipped ``data/{name}.json`` through the same loader as user files."""
+    if name.lower() not in ("s3", "z4"):
+        raise ValueError(f"unknown built-in group {name!r}; have ['s3', 'z4']")
+    return load_group_file(_DATA_DIR / f"{name.lower()}.json")

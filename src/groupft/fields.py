@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -72,8 +73,8 @@ class Grid:
         for L, N in zip(self.half_extents, self.counts):
             if not np.isfinite(L) or L <= 0.0:
                 raise ValueError(f"half extents must be positive, got {L}")
-            if N < 2 or N % 2:
-                raise ValueError(f"sample counts must be even and >= 2, got {N}")
+            if not isinstance(N, numbers.Integral) or isinstance(N, bool) or N < 2 or N % 2:
+                raise ValueError(f"sample counts must be even integers >= 2, got {N!r}")
 
     @property
     def dim(self) -> int:
@@ -127,7 +128,7 @@ def make_grid(dim, half_extents, counts) -> Grid:
     if int(dim) < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     half_extents = tuple(float(L) for L in np.atleast_1d(half_extents))
-    counts = tuple(int(N) for N in np.atleast_1d(counts))
+    counts = tuple(np.atleast_1d(np.asarray(counts, dtype=object)))
     if len(half_extents) != dim or len(counts) != dim:
         raise ValueError(
             f"expected {dim} extents and counts, got {len(half_extents)} and {len(counts)}"

@@ -40,7 +40,6 @@ quadratures and its spectral mass is reported, not hidden.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import string
@@ -49,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsonfile import check, load
 from .errors import DecayError, IllConditionedError, SingularBandError
 from .euclidean import UncertaintyTerms, _nonzero_norm_sq, _uncertainty_terms
 from .exprs import Expression, parse_expression
@@ -69,11 +69,9 @@ __all__ = [
     "JumpData",
     "CrossSectionDescriptor",
     "algebra_violations",
-    "threadlike_algebra",
     "threadlike_descriptor",
     "jump_indices",
     "pfaffian_sq",
-    "nilpotent_hs_norm_sq",
     "nilpotent_w_profile",
     "nilpotent_plancherel_ratio",
     "nilpotent_uncertainty",
@@ -141,17 +139,6 @@ def algebra_violations(lie: LieAlgebraData) -> list[str]:
                     f"{j + 1 + bad[0]} != 0"
                 )
     return out
-
-
-def threadlike_algebra(n: int) -> LieAlgebraData:
-    """Filiform brackets [X_n, X_j] = X_{j-1}, 2 <= j <= n-1 (Heisenberg at n=3)."""
-    if n < 3:
-        raise ValueError(f"thread-like algebras need dimension >= 3, got {n}")
-    c = np.zeros((n, n, n))
-    for j in range(2, n):  # 1-based j in [2, n-1]
-        c[n - 1, j - 1, j - 2] = 1.0
-        c[j - 1, n - 1, j - 2] = -1.0
-    return LieAlgebraData(n, c)
 
 
 @dataclass(frozen=True)
@@ -248,7 +235,7 @@ class CrossSectionDescriptor:
             raise ValueError(f"vanishing: {list(self.vanishing)} holds a non-integer slot")
         v = tuple(sorted(int(j) for j in self.vanishing))  # exact: every slot is integral
         if not v or v[0] < 1 or v[-1] > self.n or len(set(v)) != len(v):
-            raise ValueError(f"vanishing slots {self.vanishing} invalid for n={self.n}")
+            raise ValueError(f"vanishing: slots {self.vanishing} invalid for n={self.n}")
         object.__setattr__(self, "vanishing", v)
         if set(self.bounds) != set(self.cross_slots):
             raise ValueError(
@@ -326,10 +313,10 @@ def threadlike_descriptor(n: int) -> CrossSectionDescriptor:
     """Built-in thread-like cross-section for n in {3, 4, 5}.
 
     Loaded from the shipped ``data/threadlike{n}.json`` through the same
-    loader as user files.  Vanishing slots (2, n); Pf(xi) = xi_1;
-    h = 1/|xi_1|; the substitution inserts t1 at slot 2, t2 at slot n and
-    shifts slot j by Q_j = sum_{k>=1} t1^k xi_{j-k} / (k! xi_1^k) with
-    xi_2 = 0.
+    loader as user files.  Vanishing slots (2, n); Pf(xi) = xi_1; the
+    files hold h = 1/xi_1 and the evaluation uses |h|; the substitution
+    inserts t1 at slot 2, t2 at slot n and shifts slot j by
+    Q_j = sum_{k>=1} t1^k xi_{j-k} / (k! xi_1^k) with xi_2 = 0.
     """
     if n not in (3, 4, 5):
         raise ValueError(f"thread-like descriptors are built in for n in {{3,4,5}}, got {n}")
@@ -513,28 +500,6 @@ class _HsEvaluator:
         return out
 
 
-def nilpotent_hs_norm_sq(
-    f: SampledField,
-    desc: CrossSectionDescriptor,
-    xi_cross,
-    t_nodes: int = 32,
-) -> float:
-    """hs2 at one cross-section point (see module docstring).
-
-    Points with |Pf(xi)| <= EPS_SINGULAR raise SingularBandError; the
-    shipped descriptors' bounds leave the same gap.
-    """
-    xi = desc.embed(xi_cross)
-    pf = abs(float(desc.pfaffian(xi)))
-    if pf <= EPS_SINGULAR:
-        raise SingularBandError(
-            f"|Pf(xi)| = {pf:.3e} inside the excluded band (eps = {EPS_SINGULAR})"
-        )
-    points = np.atleast_2d(np.asarray(xi_cross, dtype=float))
-    evaluator = _HsEvaluator(f, desc, t_nodes)
-    return abs(float(desc.h(xi))) * float(evaluator.t_integrals(points)[0])
-
-
 # ---------------------------------------------------------------------------
 # cross-section quadrature, Plancherel, uncertainty
 # ---------------------------------------------------------------------------
@@ -715,51 +680,61 @@ def nilpotent_corpus(grid, seed: int, count: int) -> list[SampledField]:
 # ---------------------------------------------------------------------------
 
 
+_DESCRIPTOR_FORMAT = {  # read by _jsonfile.check
+    "schema?": 1,
+    "name?": "string",
+    "n": "integer",
+    "vanishing": ["integer"],
+    "pfaffian": "string",
+    "h": "string",
+    "substitute?": {"*": "string"},
+    "bounds": {"*": [["finite number", "finite number"]]},
+    "singular_axis?": "integer or null",
+    "structure_constants?": [["integer", "integer", "integer", "finite number"]],
+}
+
+
 def descriptor_from_json(data: dict) -> tuple[CrossSectionDescriptor, LieAlgebraData | None]:
-    """Build a descriptor (and optional algebra) from its JSON dict.
+    """Build a descriptor (and optional algebra) from its JSON dict, laid
+    out as ``_DESCRIPTOR_FORMAT`` says.
 
     Expressions use variables xi1..xin and t1..tk (t_a fills the a-th
     vanishing slot, ascending).  Substitute entries may be omitted: a
     vanishing slot defaults to its t variable, any other slot to its xi.
-    Raises ValueError naming the key on a non-integer n or vanishing slot,
-    and on slots, variables, bounds pieces or structure-constant indices
-    that do not fit the descriptor.
+    Raises ValueError naming the key when the file does not fit that
+    format, and on slots, variables, bounds pieces or structure-constant
+    indices that do not fit the descriptor.
     """
+    check(data, _DESCRIPTOR_FORMAT)
     n = data["n"]
-    if not isinstance(n, int):
-        raise ValueError(f"n: {n!r} is not an integer")
     vanishing = tuple(sorted(data["vanishing"]))
-    given = data.get("substitute", {})
-    stray = sorted(set(given) - {str(slot) for slot in range(1, n + 1)})
-    if stray:
-        raise ValueError(f"substitute: keys {stray} are not slots 1..{n}")
-    default = {slot: f"xi{slot}" for slot in range(1, n + 1)}
-    default.update({slot: f"t{a}" for a, slot in enumerate(vanishing, 1)})
-    substitute = tuple(
-        parse_expression(str(given.get(str(slot), default[slot]))) for slot in range(1, n + 1)
-    )
-    bounds = {
-        int(slot): tuple((float(lo), float(hi)) for lo, hi in pieces)
-        for slot, pieces in data["bounds"].items()
-    }
+    slots = {str(slot): slot for slot in range(1, n + 1)}
+    for key in ("substitute", "bounds"):
+        stray = sorted(set(data.get(key, {})) - set(slots))
+        if stray:
+            raise ValueError(f"{key}: keys {stray} are not slots 1..{n}")
+    text = {key: f"xi{slot}" for key, slot in slots.items()}
+    text |= {str(slot): f"t{a}" for a, slot in enumerate(vanishing, 1)} | data.get("substitute", {})
+    substitute = tuple(parse_expression(text[key]) for key in slots)
+    bounds = {slots[key]: tuple(map(tuple, pieces)) for key, pieces in data["bounds"].items()}
     algebra = None
     if "structure_constants" in data:
         c = np.zeros((n, n, n))
-        for *slots, value in data["structure_constants"]:
-            if len(slots) != 3 or not all(isinstance(s, int) and 1 <= s <= n for s in slots):
-                raise ValueError(f"structure_constants: indices {slots} are not integers in 1..{n}")
-            i, j, k = (s - 1 for s in slots)
-            c[i, j, k], c[j, i, k] = float(value), -float(value)
+        for *indices, value in data["structure_constants"]:
+            if not all(1 <= s <= n for s in indices):
+                raise ValueError(f"structure_constants: indices {indices} are not in 1..{n}")
+            i, j, k = (s - 1 for s in indices)
+            c[i, j, k], c[j, i, k] = value, -value
         algebra = LieAlgebraData(n, c)
     desc = CrossSectionDescriptor(
         n=n,
         vanishing=vanishing,
-        pfaffian_expr=parse_expression(str(data["pfaffian"])),
-        h_expr=parse_expression(str(data["h"])),
+        pfaffian_expr=parse_expression(data["pfaffian"]),
+        h_expr=parse_expression(data["h"]),
         substitute_exprs=substitute,
         bounds=bounds,
         singular_axis=data.get("singular_axis"),
-        label=str(data.get("name", "descriptor")),
+        label=data.get("name", "descriptor"),
     )
     return desc, algebra
 
@@ -780,8 +755,9 @@ def descriptor_to_json(desc: CrossSectionDescriptor) -> dict:
 
 
 def load_descriptor_file(path) -> tuple[CrossSectionDescriptor, LieAlgebraData | None]:
-    with open(path) as fh:
-        return descriptor_from_json(json.load(fh))
+    """Read a descriptor file; a ValueError from ``descriptor_from_json`` or
+    the JSON parser gets the path in front."""
+    return load(path, descriptor_from_json)
 
 
 def validate_descriptor(

@@ -179,3 +179,53 @@ def centred_fft_out_of_place(values, dim, scale, inverse=False):
     axes = tuple(range(dim))
     transform = np.fft.ifftn if inverse else np.fft.fftn
     return np.fft.fftshift(transform(np.fft.fftshift(values, axes), axes=axes), axes) * scale
+
+
+def symmetric_group_3():
+    """(table, irreps) of S_3 as the dihedral group of the triangle.
+
+    Elements 0..5 are e, r, r^2, s, sr, sr^2 with r the rotation by 2 pi/3
+    and s a reflection; the table comes from composing the underlying
+    permutations of {0,1,2}, the 2-dim irrep from the rotation/reflection
+    matrices themselves.  Irrep dims (1, 1, 2), each a (6, d, d) array.
+    """
+    r = (1, 2, 0)
+    s = (0, 2, 1)
+
+    def compose(p, q):  # (p o q)(i) = p[q[i]]
+        return tuple(p[q[i]] for i in range(3))
+
+    perms = [(0, 1, 2), r, compose(r, r)]
+    perms += [compose(s, p) for p in perms[:3]]
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.array([[index[compose(p, q)] for q in perms] for p in perms])
+
+    def rot(t):
+        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+    ref = np.diag([1.0, -1.0])
+    two_dim = [np.eye(2), rot(2 * np.pi / 3), rot(4 * np.pi / 3)]
+    two_dim += [ref @ m for m in two_dim[:3]]
+
+    trivial = np.ones((6, 1, 1), dtype=complex)
+    sign = np.array([1, 1, 1, -1, -1, -1], dtype=complex).reshape(6, 1, 1)
+    standard = np.stack(two_dim).astype(complex)
+    return table, [trivial, sign, standard]
+
+
+def cyclic_group(n):
+    """(table, irreps) of Z_n: addition mod n and the n characters
+    chi_k(m) = e^{2 pi i km/n}, each an (n, 1, 1) array."""
+    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    irreps = [np.exp(2j * np.pi * k * np.arange(n) / n).reshape(n, 1, 1) for k in range(n)]
+    return table, irreps
+
+
+def threadlike_brackets(n):
+    """Structure constants c[i, j, k] (0-based) of the filiform algebra
+    [X_n, X_j] = X_{j-1}, 2 <= j <= n-1 (the Heisenberg algebra at n = 3)."""
+    c = np.zeros((n, n, n))
+    for j in range(2, n):  # 1-based j in [2, n-1]
+        c[n - 1, j - 1, j - 2] = 1.0
+        c[j - 1, n - 1, j - 2] = -1.0
+    return c

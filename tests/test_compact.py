@@ -1,6 +1,7 @@
 """Finite-group and circle representation machinery."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -11,28 +12,27 @@ from groupft.compact import (
     CircleDual,
     FiniteGroupData,
     builtin_group,
-    cyclic_group,
     group_from_json,
     group_to_json,
     k_plancherel_defect,
     load_group_file,
-    symmetric_group_3,
     validate_group,
 )
 
-from .oracles import group_irreps, peter_weyl_blocks
+from .json_kinds import NOT_OBJECT_IDS, NOT_OBJECTS, check_every_kind
+from .oracles import cyclic_group, group_irreps, peter_weyl_blocks, symmetric_group_3
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
 def s3():
-    return symmetric_group_3()
+    return builtin_group("s3")
 
 
 @pytest.fixture(scope="module")
 def z4():
-    return cyclic_group(4)
+    return builtin_group("z4")
 
 
 class TestValidateGroup:
@@ -63,6 +63,17 @@ class TestValidateGroup:
         assert builtin_group("Z4").name == "z4"
         with pytest.raises(ValueError):
             builtin_group("su2")
+
+    @pytest.mark.parametrize(
+        "name, build", [("s3", symmetric_group_3), ("z4", lambda: cyclic_group(4))], ids=["s3", "z4"]
+    )
+    def test_shipped_file_is_the_construction(self, name, build):
+        """The shipped file holds, bit for bit, the plain-numpy construction."""
+        K = builtin_group(name)
+        table, irreps = build()
+        assert np.array_equal(K.table, table)
+        assert len(K.irreps) == len(irreps)
+        assert all(np.array_equal(a, b) for a, b in zip(K.irreps, irreps))
 
 
 class TestSchurOrthogonality:
@@ -111,7 +122,7 @@ class TestKPlancherel:
         assert k_plancherel_defect(K, phi) <= 1e-10
 
     @pytest.mark.parametrize(
-        "K", [symmetric_group_3(), cyclic_group(4), CircleDual(5)], ids=["s3", "z4", "circle5"]
+        "K", [builtin_group("s3"), builtin_group("z4"), CircleDual(5)], ids=["s3", "z4", "circle5"]
     )
     def test_matches_per_irrep_loop(self, K):
         rng = np.random.default_rng(6)
@@ -179,9 +190,27 @@ class TestGroupFiles:
             (lambda d: d.pop("irreps"), "irreps: missing"),
             (lambda d: d.update(irreps=5), "irreps: not a list of objects"),
             (lambda d: d.update(irreps=[5]), "irreps: not a list of objects"),
+            (lambda d: d.update(table=5), "table: not a list of lists of integers"),
+            (lambda d: d.update(table=[[0, 1]] * 6), r"table: shape \(6, 2\) does not fit \(6, 6\)"),
+            (lambda d: d["table"].__setitem__(5, [0]), "table: .*inhomogeneous.*"),
+            (lambda d: d["table"][0].__setitem__(0, 2**64), "table: .*too large.*"),
+            (lambda d: d.update(order=[6, 6]), r"order: \[6, 6\] is not an integer"),
+            (lambda d: d["irreps"][2].update(dim=[2]), r"irreps\[2\].dim: \[2\] is not an integer"),
+            (
+                lambda d: d["irreps"][0]["matrices"][1][0][0].__setitem__(0, math.nan),
+                r"irreps\[0\].matrices: nan is not a finite number",
+            ),
+            (
+                lambda d: d["irreps"][0]["matrices"][1][0].__setitem__(0, [1.0]),
+                r"irreps\[0\].matrices: not a list \(finite number, finite number\)",
+            ),
+            (lambda d: d.update(extra=1), "extra: unknown key"),
+            (lambda d: d["irreps"][1].update(dims=1), r"irreps\[1\].dims: unknown key"),
         ],
         ids=["float-order", "bool-order", "bool-entry", "float-entry", "float-dim"]
-        + ["no-order", "no-table", "no-irreps", "int-irreps", "int-irrep"],
+        + ["no-order", "no-table", "no-irreps", "int-irreps", "int-irrep", "int-table"]
+        + ["narrow-table", "ragged-table", "huge-entry", "list-order", "list-dim", "nan-entry"]
+        + ["short-pair", "unknown-key", "unknown-irrep-key"],
     )
     def test_bad_key_named(self, tmp_path, s3, edit, message):
         data = group_to_json(s3)
@@ -193,7 +222,34 @@ class TestGroupFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
             load_group_file(path)
 
-    def test_benchmark_group_file_loads_and_validates(self):
+    def test_benchmark_group_file_loads_and_validates(self, s3):
+        """The benchmark's copy of S3 loads to the built-in's arrays."""
         K = load_group_file(ROOT / "perfbench" / "data" / "s3.json")
         assert K.irrep_dims == (1, 1, 2)
         assert validate_group(K) == []
+        assert np.array_equal(K.table, s3.table)
+        assert all(np.array_equal(a, b) for a, b in zip(K.irreps, s3.irreps, strict=True))
+
+    @pytest.mark.parametrize(
+        "path, label, right",
+        [
+            (("name",), "name", {"missing", "string"}),
+            (("order",), "order", {"int"}),
+            (("table",), "table", {"list"}),
+            (("irreps",), "irreps", {"list"}),
+            (("irreps", 0, "dim"), "irreps[0].dim", {"int"}),
+            (("irreps", 0, "matrices"), "irreps[0].matrices", {"list"}),
+        ],
+        ids=["name", "order", "table", "irreps", "irreps0-dim", "irreps0-matrices"],
+    )
+    def test_every_json_kind(self, tmp_path, s3, path, label, right):
+        check_every_kind(group_to_json(s3), path, label, right, group_from_json, load_group_file, tmp_path)
+
+    @pytest.mark.parametrize("top", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
+    def test_top_level_not_an_object(self, tmp_path, top):
+        with pytest.raises(ValueError, match="^top level: not an object$"):
+            group_from_json(top)
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(top))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: top level: not an object$"):
+            load_group_file(path)

@@ -240,6 +240,14 @@ class TestOddCounts:
         with pytest.raises(ValueError, match="even"):
             make_grid(2, [4.0, 4.0], [8, 7])
 
+    @pytest.mark.parametrize(
+        "counts", [[16.9], [16.0], [True], [np.float64(16.0)], [True, 4]], ids=str
+    )
+    def test_make_grid_rejects_non_integer_count(self, counts):
+        """A count is not truncated or read from a bool."""
+        with pytest.raises(ValueError, match="even integers"):
+            make_grid(len(counts), [4.0] * len(counts), counts)
+
     def test_grid_rejects_odd_count(self):
         with pytest.raises(ValueError, match="even"):
             Grid((4.0,), (9,))

@@ -15,14 +15,28 @@ from groupft import nilpotent as nil
 from groupft.errors import DecayError, IllConditionedError, SingularBandError, ZeroFieldError
 from groupft.fields import MomentSpec, SampledField, gaussian_packet, l2_norm_sq, make_grid
 
-from .oracles import brute_force_hs_norm_sq
+from .json_kinds import NOT_OBJECT_IDS, NOT_OBJECTS, check_every_kind
+from .oracles import brute_force_hs_norm_sq, threadlike_brackets
 
 DATA = Path(nil.__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 T_NODES = 8
 
 
 def shipped(n: int) -> dict:
     return json.loads((DATA / f"threadlike{n}.json").read_text())
+
+
+def threadlike_algebra(n: int) -> nil.LieAlgebraData:
+    return nil.LieAlgebraData(n, threadlike_brackets(n))
+
+
+def hs_norm_sq(f, desc, xi_cross, t_nodes=T_NODES) -> float:
+    """hs2 at one cross-section point: |h(xi)| times the t-integral that
+    the profile evaluates, through the same evaluator."""
+    points = np.atleast_2d(np.asarray(xi_cross, dtype=float))
+    h = abs(float(desc.h(desc.embed(xi_cross))))
+    return h * float(nil._HsEvaluator(f, desc, t_nodes).t_integrals(points)[0])
 
 
 def threadlike_point(xi, t1, t2):
@@ -162,7 +176,7 @@ def test_substitute_without_xi():
     rng = np.random.default_rng(3)
     f = SampledField(grid, rng.standard_normal(grid.counts) + 1j * rng.standard_normal(grid.counts))
     points, _, values = nil.nilpotent_w_profile(f, desc, 3, T_NODES)
-    one = nil.nilpotent_hs_norm_sq(f, desc, [0.5], T_NODES) * 0.5
+    one = hs_norm_sq(f, desc, [0.5]) * 0.5
     np.testing.assert_allclose(values * points[:, 0], one, rtol=1e-12)
 
 
@@ -182,15 +196,8 @@ def test_hs_norm_sq_matches_brute_force(random_field, which):
     xi_cross = POINTS[f.grid.dim][which]
     targets, weights, inside = oracle_targets(f, xi_cross)
     want = oracle(f, targets[inside], 1.0 / abs(xi_cross[0]), weights[inside])
-    got = nil.nilpotent_hs_norm_sq(f, nil.threadlike_descriptor(f.grid.dim), xi_cross, T_NODES)
+    got = hs_norm_sq(f, nil.threadlike_descriptor(f.grid.dim), xi_cross)
     assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_hs_norm_sq_rejects_singular_band(random_field):
-    f = random_field
-    xi_cross = (0.01,) + POINTS[f.grid.dim][0][1:]
-    with pytest.raises(SingularBandError):
-        nil.nilpotent_hs_norm_sq(f, nil.threadlike_descriptor(f.grid.dim), xi_cross, T_NODES)
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +233,7 @@ def test_profile_sums_match_pointwise_loop(t3_member):
     f, desc, spec = t3_member, nil.threadlike_descriptor(3), MomentSpec(2.0, 1.5)
     profile = nil.nilpotent_w_profile(f, desc, 4, T_NODES)
     points, weights, values = profile
-    loop = [nil.nilpotent_hs_norm_sq(f, desc, p, T_NODES) for p in points]
+    loop = [hs_norm_sq(f, desc, p) for p in points]
     np.testing.assert_allclose(values, loop, rtol=1e-13, atol=1e-13 * max(loop))
     pf = np.array([abs(p[0]) for p in points])
     ratio = nil.nilpotent_plancherel_ratio(f, desc, profile=profile)
@@ -242,12 +249,12 @@ def test_profile_sums_match_pointwise_loop(t3_member):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_shipped_structure_constants(n):
     _, algebra = nil.descriptor_from_json(shipped(n))
-    np.testing.assert_array_equal(algebra.brackets, nil.threadlike_algebra(n).brackets)
+    np.testing.assert_array_equal(algebra.brackets, threadlike_brackets(n))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_shipped_descriptor_valid(n):
-    assert nil.validate_descriptor(nil.threadlike_descriptor(n), nil.threadlike_algebra(n)) == []
+    assert nil.validate_descriptor(nil.threadlike_descriptor(n), threadlike_algebra(n)) == []
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -303,7 +310,7 @@ def generic_xi(n, xi1):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_threadlike_generic_jumps_and_pfaffian(n):
-    jump = nil.jump_indices(nil.threadlike_algebra(n), generic_xi(n, 0.7))
+    jump = nil.jump_indices(threadlike_algebra(n), generic_xi(n, 0.7))
     assert jump.indices == (2, n)
     assert nil.pfaffian_sq(jump) == pytest.approx(0.49, rel=1e-12)  # xi1^2
 
@@ -312,7 +319,7 @@ def test_threadlike_generic_jumps_and_pfaffian(n):
 def test_threadlike_jumps_off_the_generic_layer(n, indices):
     xi = np.zeros(n)
     xi[1] = 1.0  # xi1 = 0, xi2 = 1
-    jump = nil.jump_indices(nil.threadlike_algebra(n), xi)
+    jump = nil.jump_indices(threadlike_algebra(n), xi)
     assert jump.indices == indices
     if not indices:
         with pytest.raises(ValueError):
@@ -322,7 +329,7 @@ def test_threadlike_jumps_off_the_generic_layer(n, indices):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_threadlike_jumps_ill_conditioned_near_singular_set(n):
     with pytest.raises(IllConditionedError):
-        nil.jump_indices(nil.threadlike_algebra(n), generic_xi(n, 1e-9))
+        nil.jump_indices(threadlike_algebra(n), generic_xi(n, 1e-9))
 
 
 @pytest.mark.parametrize(
@@ -344,6 +351,77 @@ def test_validate_descriptor_reports_broken_variant(change, message):
 def test_validate_descriptor_without_algebra():
     desc, _ = nil.load_descriptor_file(DATA / "threadlike3.json")
     assert nil.validate_descriptor(desc) == []
+
+
+def test_benchmark_descriptor_file_matches_shipped():
+    """The benchmark's single check reads its own copy of threadlike3 and
+    its sweep the shipped file; both load to equal data."""
+    desc, algebra = nil.load_descriptor_file(ROOT / "perfbench" / "data" / "threadlike3.json")
+    shipped_desc, shipped_algebra = nil.load_descriptor_file(DATA / "threadlike3.json")
+    assert desc == shipped_desc
+    np.testing.assert_array_equal(algebra.brackets, shipped_algebra.brackets)
+
+
+@pytest.mark.parametrize(
+    "path, label, right",
+    [
+        (("schema",), "schema", {"missing", "int"}),
+        (("name",), "name", {"missing", "string"}),
+        (("n",), "n", {"int"}),
+        (("vanishing",), "vanishing", {"list"}),
+        (("pfaffian",), "pfaffian", {"string"}),
+        (("h",), "h", {"string"}),
+        (("substitute",), "substitute", {"missing", "object"}),
+        (("bounds",), "bounds", {"object"}),
+        (("singular_axis",), "singular_axis", {"missing", "null", "int"}),
+        (("structure_constants",), "structure_constants", {"missing", "list"}),
+        (("bounds", "1"), "bounds", {"missing", "list"}),
+        (("substitute", "1"), "substitute", {"missing", "string"}),
+    ],
+    ids=["schema", "name", "n", "vanishing", "pfaffian", "h", "substitute", "bounds"]
+    + ["singular_axis", "structure_constants", "bounds-1", "substitute-1"],
+)
+def test_loader_every_json_kind(tmp_path, path, label, right):
+    check_every_kind(
+        shipped(3), path, label, right, nil.descriptor_from_json, nil.load_descriptor_file, tmp_path
+    )
+
+
+@pytest.mark.parametrize("top", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
+def test_loader_top_level_not_an_object(tmp_path, top):
+    with pytest.raises(ValueError, match="^top level: not an object$"):
+        nil.descriptor_from_json(top)
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(top))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: top level: not an object$"):
+        nil.load_descriptor_file(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"singular_axs": 1}, "singular_axs: unknown key"),
+        ({"schema": 2}, "schema: 2 is not 1"),
+        ({"schema": True}, "schema: True is not 1"),
+        ({"structure_constants": [[3, 2, 1]]}, "structure_constants: not a list"),
+        ({"structure_constants": [[3, True, 1, 1.0]]}, "structure_constants: True is not an integer"),
+        ({"bounds": {"1": [[-3.2, -0.05, 0.0]]}}, "bounds: not a list"),
+        ({"bounds": {"1": [[-3.2, True]]}}, "bounds: True is not a finite number"),
+        ({"bounds": {"x": [[0.05, 3.2]]}}, r"bounds: keys \['x'\] are not slots 1..3"),
+        ({"vanishing": [2, True]}, "vanishing: True is not an integer"),
+    ],
+    ids=["misspelt-singular-axis", "schema-2", "schema-true", "short-constant"]
+    + ["bool-index", "long-piece", "bool-bound", "non-slot-bound", "bool-slot"],
+)
+def test_loader_names_the_bad_key(tmp_path, edit, message):
+    """A misspelt optional key no longer drops the band guard unnoticed."""
+    data = shipped(3) | edit
+    with pytest.raises(ValueError, match=f"^{message}"):
+        nil.descriptor_from_json(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        nil.load_descriptor_file(path)
 
 
 @pytest.fixture(scope="module")

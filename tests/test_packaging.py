@@ -1,13 +1,16 @@
 """pyproject.toml promises only what the source tree ships, the names the
-package exports or the benchmark traces still exist, and the test oracles
-stay independent of the package."""
+package exports or the benchmark traces still exist, every shipped data
+file is a built-in, and the test oracles stay independent of the package."""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from groupft import compact, nilpotent
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
@@ -76,3 +79,20 @@ def test_oracles_import_nothing_from_groupft():
     assert imported
     bad = [name for name in imported if name.startswith(".") or name.split(".")[0] == "groupft"]
     assert not bad, f"tests/oracles.py imports {bad}"
+
+
+def test_every_shipped_file_is_a_valid_builtin():
+    """Each data file is what a built-in loads, and validates clean: no
+    shipped file is dead, and no built-in lacks its file."""
+    data = ROOT / "src" / "groupft" / "data"
+    groups = {f"{name}.json": compact.builtin_group(name) for name in ("s3", "z4")}
+    descriptors = {f"threadlike{n}.json": nilpotent.threadlike_descriptor(n) for n in (3, 4, 5)}
+    assert sorted(p.name for p in data.glob("*.json")) == sorted(groups | descriptors)
+    for name, K in groups.items():
+        from_file = compact.load_group_file(data / name)
+        assert np.array_equal(K.table, from_file.table)
+        assert all(np.array_equal(a, b) for a, b in zip(K.irreps, from_file.irreps, strict=True))
+        assert compact.validate_group(K) == []
+    for name, desc in descriptors.items():
+        from_file, algebra = nilpotent.load_descriptor_file(data / name)
+        assert desc == from_file and nilpotent.validate_descriptor(desc, algebra) == []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from groupft.compact import CircleDual, cyclic_group, symmetric_group_3
+from groupft.compact import CircleDual, builtin_group
 from groupft.errors import MomentDivergenceError, ZeroFieldError
 from groupft.fields import (
     MomentSpec,
@@ -24,7 +24,11 @@ from groupft.product import (
 
 from .oracles import group_irreps, peter_weyl_blocks
 
-GROUPS = {"s3": symmetric_group_3, "z4": lambda: cyclic_group(4), "circle5": lambda: CircleDual(5)}
+GROUPS = {
+    "s3": lambda: builtin_group("s3"),
+    "z4": lambda: builtin_group("z4"),
+    "circle5": lambda: CircleDual(5),
+}
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +38,7 @@ def grid1d():
 
 @pytest.fixture(scope="module")
 def s3():
-    return symmetric_group_3()
+    return builtin_group("s3")
 
 
 def constant_in_k(grid, group, g_vals):
@@ -132,7 +136,7 @@ class TestProductPlancherel:
 
 class TestProductUncertainty:
     def test_gaussian_constant_on_z4_reduces_to_line(self, grid1d):
-        K = cyclic_group(4)
+        K = builtin_group("z4")
         g = gaussian_packet(grid1d)
         pf = constant_in_k(grid1d, K, g.values)
         terms = product_uncertainty(pf, MomentSpec(1.0, 1.0))
