@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import DecayError, MomentDivergenceError, ZeroFieldError
 from .fields import (
-    _BOUNDARY_DECAY_LIMIT,
     MomentSpec,
     SampledField,
-    boundary_decay,
+    _require_decay,
     euclidean_ft,
     l2_norm_sq,
     moment_boundary_fraction,
@@ -115,8 +114,7 @@ def _dilate(f: SampledField, t: float) -> SampledField:
     g = f.grid
     vals = tensor_dft(euclidean_ft(f), [t * g.axis(i) for i in range(g.dim)], sign=+1.0)
     out = SampledField(g, vals * t ** (g.dim / 2.0))
-    if boundary_decay(out) > _BOUNDARY_DECAY_LIMIT:
-        raise DecayError(f"scale t={t} pushes mass onto the box boundary")
+    _require_decay(out, f"scale t={t} pushes mass onto the box boundary")
     return out
 
 

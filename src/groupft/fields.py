@@ -122,11 +122,12 @@ class Grid:
 def make_grid(dim, half_extents, counts) -> Grid:
     """Validated Grid constructor.
 
-    Raises ValueError for nonpositive extents, odd counts or counts < 2, or
-    a dimension mismatch between the argument lists.
+    Raises ValueError for a dim that is not an integer >= 1 (a bool is
+    none), nonpositive extents, odd counts or counts < 2, or a dimension
+    mismatch between the argument lists.
     """
-    if int(dim) < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
     half_extents = tuple(float(L) for L in np.atleast_1d(half_extents))
     counts = tuple(np.atleast_1d(np.asarray(counts, dtype=object)))
     if len(half_extents) != dim or len(counts) != dim:
@@ -311,8 +312,8 @@ def inverse_euclidean_ft(fhat: SampledField) -> SampledField:
 def _axis_phase(grid: Grid, axis: int, nodes, sign: float) -> np.ndarray:
     """exp(sign*2*pi*i*xi*x) between ``nodes`` xi (any shape) and the samples x
     of one grid axis, shape nodes.shape + (N,): the one phase builder of every
-    direct (non-FFT) Euclidean transform.  Rows of nodes beyond the axis's
-    dual half-extent are zero, because there the sum aliases."""
+    direct (non-FFT) transform, motion's plane waves included.  Rows of nodes
+    beyond the axis's dual half-extent are zero, because there the sum aliases."""
     nodes = np.asarray(nodes, dtype=float)
     phase = np.exp(sign * 2j * np.pi * np.multiply.outer(nodes, grid.axis(axis)))
     phase[np.abs(nodes) > grid.dual_half_extents[axis]] = 0.0
@@ -358,6 +359,12 @@ def boundary_decay(f: SampledField) -> float:
             idx[i] = edge
             worst = max(worst, float(mag[tuple(idx)].max()))
     return worst / peak
+
+
+def _require_decay(f: SampledField, message: str) -> None:
+    """Raise DecayError(message) when f has not decayed at its box boundary."""
+    if boundary_decay(f) > _BOUNDARY_DECAY_LIMIT:
+        raise DecayError(message)
 
 
 @functools.cache
@@ -485,6 +492,11 @@ def _draw_band_limited(grid: Grid, rng) -> SampledField | None:
     return SampledField(grid, field.values * window.values)
 
 
+def _unit_norm(f: SampledField) -> SampledField:
+    """f / ||f||_2, the one normalisation of every corpus member."""
+    return SampledField(f.grid, f.values * (1.0 / np.sqrt(l2_norm_sq(f))), f.group_weights)
+
+
 def test_corpus(grid: Grid, seed: int, count: int) -> list[SampledField]:
     """Deterministic-by-seed corpus of nonzero smooth decaying fields.
 
@@ -499,17 +511,10 @@ def test_corpus(grid: Grid, seed: int, count: int) -> list[SampledField]:
     rng = np.random.default_rng(seed)
     members = []
     for i in range(count):
-        kind = i % 3
-        if kind == 1:
-            f = _draw_packet(grid, rng, hermite=True)
-        elif kind == 2:
-            f = _draw_band_limited(grid, rng)
-            if f is None:
-                f = _draw_packet(grid, rng, hermite=False)
-        else:
-            f = _draw_packet(grid, rng, hermite=False)
-        scale = 1.0 / np.sqrt(l2_norm_sq(f))
-        members.append(SampledField(grid, f.values * scale))
+        f = _draw_band_limited(grid, rng) if i % 3 == 2 else None
+        if f is None:
+            f = _draw_packet(grid, rng, hermite=i % 3 == 1)
+        members.append(_unit_norm(f))
     return members
 
 

@@ -13,17 +13,19 @@ in the circle-character basis e_m, truncated to |m|, |m'| <= M, with
 
 The u-integral in the matrix element is evaluated on the circle grid (a
 plain DFT of the sampled plane wave), never through closed-form Bessel
-functions.  The plane wave factorises as
-exp(-i lambda z1 cos g) * exp(i lambda z2 sin g), so ``mn_ft`` and the
-HS-profiles share one path that, per lambda, builds only those two small
-factors and contracts the theta-coefficient rows against them: one matmul
-over z2, a reduction over z1 and one FFT over the circle grid.  The full
-z1 x z2 x circle plane wave is never formed, and profiles stack the active
-rows of all their fields so the factors are built once per lambda.
+functions.  The plane wave factorises as exp(-i lambda z1 cos g) *
+exp(i lambda z2 sin g), the ``fields._axis_phase`` rows at lambda cos g / 2 pi
+and lambda sin g / 2 pi, which are 0 beyond the dual box (where they alias)
+as in every direct transform.  So ``mn_ft`` and the HS-profiles share one
+path that, per lambda, builds only those two small factors and contracts
+the theta-coefficient rows against them: one matmul over z2, a reduction
+over z1 and one FFT over the circle grid; profiles stack the active rows of
+all their fields so the factors are built once per lambda.
 
 Both the HS-profiles and the spectral-tail guard work on circle modes
 c_m(z), one FFT over the uniform circle grid, and skip the modes that carry
-no mass by one rule (``_carrying_modes``: norm below 1e-14 of the peak).
+no mass by one rule (``_carrying_modes``: norm below 1e-14 of the peak over
+all circle modes, before the profiles keep |m| <= M).
 Parseval over the circle grid, sum_k |F(xi, theta_k)|^2 / n_theta =
 sum_m |C_m(xi)|^2, lets the tail transform only the carrying mode planes
 instead of every circle slice.
@@ -40,21 +42,22 @@ kappa.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, DecayError, SpectralTailError, ZeroFieldError
+from .errors import AliasingError, SpectralTailError, ZeroFieldError
 from .euclidean import UncertaintyTerms, _nonzero_norm_sq, _uncertainty_terms
 from .fields import (
-    _BOUNDARY_DECAY_LIMIT,
     Grid,
     SampledField,
+    _axis_phase,
     _gauss_rule,
-    boundary_decay,
+    _require_decay,
+    _unit_norm,
     euclidean_ft,
     gaussian_packet,
-    l2_norm_sq,
 )
 
 __all__ = [
@@ -137,9 +140,7 @@ def motion_corpus(grid: Grid, n_theta: int, seed: int, count: int) -> list[Motio
             mode = int(rng.integers(-4, 5))
             g = gaussian_packet(grid, centers, widths, mods)
             vals += g.values[..., None] * np.exp(1j * mode * thetas)
-        f = motion_field(grid, vals)
-        scale = 1.0 / np.sqrt(l2_norm_sq(f.sampled))
-        out.append(motion_field(grid, vals * scale))
+        out.append(MotionField(_unit_norm(motion_field(grid, vals).sampled)))
     return out
 
 
@@ -171,14 +172,22 @@ class LambdaGrid:
     lam_max: float
 
     def __post_init__(self):
-        if np.any(self.nodes <= 0) or np.any(self.weights <= 0):
-            raise ValueError("lambda nodes and weights must be positive")
+        for a in (self.nodes, self.weights, self.lam_max):
+            if not np.all((a > 0) & np.isfinite(a)):
+                raise ValueError("lambda nodes, weights and lam_max must be positive and finite")
 
 
 def make_lambda_grid(lam_max: float, panels: int = 8, nodes_per_panel: int = 12) -> LambdaGrid:
-    """Composite Gauss-Legendre rule on (0, lam_max]."""
-    if lam_max <= 0 or panels < 1 or nodes_per_panel < 1:
-        raise ValueError("lam_max, panels and nodes_per_panel must be positive")
+    """Composite Gauss-Legendre rule on (0, lam_max].
+
+    Raises ValueError unless lam_max is finite and > 0 and panels and
+    nodes_per_panel are integers >= 1 (a bool is none).
+    """
+    if not (lam_max > 0 and np.isfinite(lam_max)):
+        raise ValueError(f"lam_max must be finite and > 0, got {lam_max!r}")
+    for name, count in (("panels", panels), ("nodes_per_panel", nodes_per_panel)):
+        if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     edges = np.linspace(0.0, lam_max, panels + 1)
     return LambdaGrid(*_gauss_rule(zip(edges[:-1], edges[1:]), nodes_per_panel), lam_max)
 
@@ -188,17 +197,18 @@ def _circle_dft(f: MotionField) -> np.ndarray:
     return np.fft.fft(f.values, axis=-1)
 
 
-def _theta_coefficients(f: MotionField, m_max: int) -> np.ndarray:
-    """Circle modes c_m(z) for |m| <= m_max, in order m = -m_max .. m_max."""
-    idx = np.arange(-m_max, m_max + 1) % f.theta_count
-    return np.take(_circle_dft(f), idx, axis=-1) / f.theta_count
+def _mode_rows(dft: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """Circle modes c_m(z), m in ``modes``, stacked first, from a ``_circle_dft``."""
+    n_theta = dft.shape[-1]
+    return np.moveaxis(np.take(dft, modes % n_theta, axis=-1) / n_theta, -1, 0)
 
 
 def _carrying_modes(coef: np.ndarray) -> np.ndarray:
     """Mask over the last axis of the circle modes whose coefficient carries mass.
 
     Modes below 1e-14 of the peak norm contribute < 1e-28 relative mass and
-    are skipped by the HS-profiles and the spectral tail alike.
+    are skipped by the HS-profiles and the spectral tail alike; both pass
+    every circle mode, so round-off is judged against the field's own peak.
     """
     parts = coef.reshape(-1, coef.shape[-1]).view(np.float64)  # (re, im) of each mode
     sq = np.einsum("ik,ik->k", parts, parts)
@@ -233,19 +243,21 @@ def _operator_rows(
     the circle-grid DFT of the sampled plane wave exp(-i lambda <u^{-1} e_1, z>)
     against c_m; modes |q| >= n_theta alias onto their residue, which is the
     honest output of circle-grid quadrature.  Per lambda the plane wave
-    enters through its two small factors (N1 x n_theta and N2 x n_theta):
-    one matmul over z2, a reduction over z1, one FFT over the circle grid.
+    enters through its two small factors, the ``_axis_phase`` rows (0 beyond
+    the dual box) at lambda cos g_j / 2 pi and lambda sin g_j / 2 pi: one
+    matmul over z2, a reduction over z1, one FFT over the circle grid.
     """
     gam = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    z1, z2 = grid.axis(0), grid.axis(1)
-    flat = coef.reshape(-1, z2.size)  # (R * N1, N2)
+    cos, sin = np.cos(gam), np.sin(gam)
+    n1, n2 = grid.counts
+    flat = coef.reshape(-1, n2)  # (R * N1, N2)
     cols = np.arange(-m_max, m_max + 1)
     q = (rows[:, None] - cols[None, :]) % n_theta  # F[m, m'] = D[m - m']
     out = np.empty((len(lambdas), rows.size, cols.size), dtype=np.complex128)
     for i, lam in enumerate(lambdas):
-        wave1 = np.exp(-1j * lam * np.outer(z1, np.cos(gam)))
-        wave2 = np.exp(1j * lam * np.outer(z2, np.sin(gam)))
-        partial = (flat @ wave2).reshape(rows.size, z1.size, n_theta)
+        wave1 = _axis_phase(grid, 0, lam * cos / (2.0 * np.pi), -1.0).T
+        wave2 = _axis_phase(grid, 1, lam * sin / (2.0 * np.pi), +1.0).T
+        partial = (flat @ wave2).reshape(rows.size, n1, n_theta)
         d = np.fft.fft(np.einsum("rag,ag->rg", partial, wave1), axis=-1)
         out[i] = np.take_along_axis(d, q, axis=1)
     return out * (grid.cell_volume / n_theta)
@@ -254,8 +266,8 @@ def _operator_rows(
 def mn_ft(f: MotionField, lam: float, m_max: int) -> OperatorMatrix:
     """Transform operator at one lambda, truncated to modes |m| <= m_max."""
     _check_truncation(f, lam, m_max)
-    coef = np.moveaxis(_theta_coefficients(f, m_max), -1, 0)
     rows = np.arange(-m_max, m_max + 1)
+    coef = _mode_rows(_circle_dft(f), rows)
     mat = _operator_rows(f.grid, f.theta_count, coef, rows, [lam], m_max)
     return OperatorMatrix(lam, m_max, mat[0])
 
@@ -272,6 +284,7 @@ def _hs_profiles(fields: list, lambdas: np.ndarray, m_max: int) -> np.ndarray:
     factors are built once and shared across fields.
     """
     grid, n_theta = fields[0].grid, fields[0].theta_count
+    modes = np.arange(-m_max, m_max + 1)
     coefs, rowsets = [], []
     for j, f in enumerate(fields):
         if f.grid != grid or f.theta_count != n_theta:
@@ -280,10 +293,11 @@ def _hs_profiles(fields: list, lambdas: np.ndarray, m_max: int) -> np.ndarray:
                 f"fields[0] on {grid} x {n_theta}"
             )
         _check_truncation(f, float(lambdas.min()), m_max)
-        coef = _theta_coefficients(f, m_max)
-        keep = _carrying_modes(coef)
-        coefs.append(np.moveaxis(coef[..., keep], -1, 0))
-        rowsets.append(np.arange(-m_max, m_max + 1)[keep])
+        dft = _circle_dft(f)  # the rule sees every mode, as in the tail guard
+        kept = modes[_carrying_modes(dft)[modes % n_theta]]
+        coefs.append(_mode_rows(dft, kept))
+        rowsets.append(kept)
+        del dft  # the largest array here: hold one field's at a time
     rows = np.concatenate(rowsets)
     if rows.size == 0:
         return np.zeros((len(fields), lambdas.size))
@@ -338,8 +352,7 @@ def mn_spectral_tail_fraction(f: MotionField, lam_max: float) -> float:
 
 def _quadrature_guard(f: MotionField, lgrid: LambdaGrid) -> float:
     norm_sq = _nonzero_norm_sq(f.sampled)
-    if boundary_decay(f.sampled) > _BOUNDARY_DECAY_LIMIT:
-        raise DecayError("field has not decayed at the spatial box boundary")
+    _require_decay(f.sampled, "field has not decayed at the spatial box boundary")
     tail = mn_spectral_tail_fraction(f, lgrid.lam_max)
     if tail > SPECTRAL_TAIL_BUDGET:
         raise SpectralTailError(
@@ -354,6 +367,20 @@ def _lambda_moment(lgrid: LambdaGrid, profile: np.ndarray, power: float) -> floa
     return PLANCHEREL_C2 * float(np.sum(lgrid.weights * lgrid.nodes ** (power + 1.0) * profile))
 
 
+def _kappa(
+    f: MotionField, lgrid: LambdaGrid, m_max: int, profile
+) -> tuple[float, float, np.ndarray]:
+    """(kappa, ||f||^2, profile) after the guards: the raw Plancherel ratio, which
+    raises ZeroFieldError when the kept modes carry no spectral mass."""
+    norm_sq = _quadrature_guard(f, lgrid)
+    if profile is None:
+        profile = mn_hs_profile(f, lgrid.nodes, m_max)
+    kappa = _lambda_moment(lgrid, profile, 0.0) / norm_sq
+    if kappa <= 0.0:
+        raise ZeroFieldError("empty spectral profile")
+    return kappa, norm_sq, profile
+
+
 def mn_plancherel_ratio(
     f: MotionField, lgrid: LambdaGrid, m_max: int, profile: np.ndarray | None = None
 ) -> float:
@@ -363,11 +390,9 @@ def mn_plancherel_ratio(
     transform-convention constant kappa and is reported raw.  With
     ``profile=None`` the HS-profile is recomputed on every call; sweeps
     should compute it once (``mn_hs_profiles``) and pass ``profile=``.
+    Raises ZeroFieldError when no mode |m| <= m_max carries mass.
     """
-    norm_sq = _quadrature_guard(f, lgrid)
-    if profile is None:
-        profile = mn_hs_profile(f, lgrid.nodes, m_max)
-    return _lambda_moment(lgrid, profile, 0.0) / norm_sq
+    return _kappa(f, lgrid, m_max, profile)[0]
 
 
 def mn_uncertainty(
@@ -390,11 +415,6 @@ def mn_uncertainty(
     HS-profile is recomputed on every call; sweeps should compute it once
     (``mn_hs_profiles``) and pass ``profile=``.
     """
-    norm_sq = _quadrature_guard(f, lgrid)
-    if profile is None:
-        profile = mn_hs_profile(f, lgrid.nodes, m_max)
-    kappa = _lambda_moment(lgrid, profile, 0.0) / norm_sq
-    if kappa <= 0.0:
-        raise ZeroFieldError("empty spectral profile")
+    kappa, norm_sq, profile = _kappa(f, lgrid, m_max, profile)
     momentum = _lambda_moment(lgrid, profile, 2.0 * spec.b) / kappa
     return _uncertainty_terms(f.sampled, spec, norm_sq, momentum, 2.0 * np.sqrt(PLANCHEREL_C2))

@@ -51,17 +51,16 @@ import numpy as np
 from ._jsonfile import check, load
 from .errors import DecayError, IllConditionedError, SingularBandError
 from .euclidean import UncertaintyTerms, _nonzero_norm_sq, _uncertainty_terms
-from .exprs import Expression, parse_expression
+from .exprs import Expression, ExprError, parse_expression
 from .fields import (
-    _BOUNDARY_DECAY_LIMIT,
     _DECAY_DELTA,
     SampledField,
     _axis_phase,
     _gauss_rule,
+    _require_decay,
+    _unit_norm,
     axis_band_fraction,
-    boundary_decay,
     gaussian_packet,
-    l2_norm_sq,
 )
 
 __all__ = [
@@ -554,8 +553,7 @@ def singular_band_fraction(f: SampledField, desc: CrossSectionDescriptor) -> flo
 
 def _plancherel_guard(f: SampledField, desc) -> float:
     norm_sq = _nonzero_norm_sq(f)
-    if boundary_decay(f) > _BOUNDARY_DECAY_LIMIT:
-        raise DecayError("field has not decayed at the box boundary")
+    _require_decay(f, "field has not decayed at the box boundary")
     band = singular_band_fraction(f, desc)
     if band is not None and band >= BAND_MASS_BUDGET:
         raise SingularBandError(
@@ -665,13 +663,10 @@ def nilpotent_corpus(grid, seed: int, count: int) -> list[SampledField]:
             widths.append(rng.uniform(lo, hi))
             centers.append(rng.uniform(-0.2, 0.2))
             mods.append(rng.uniform(-0.25, 0.25))
-        if i % 2 == 1:
+        if i % 2:  # odd members: unmodulated first-axis Hermite packets
             mods[0] = 0.0
-            f = gaussian_packet(grid, centers, widths, mods, hermite_axis=0, hermite_degree=1)
-        else:
-            f = gaussian_packet(grid, centers, widths, mods)
-        scale = 1.0 / np.sqrt(l2_norm_sq(f))
-        out.append(SampledField(grid, f.values * scale))
+        f = gaussian_packet(grid, centers, widths, mods, hermite_axis=0, hermite_degree=i % 2)
+        out.append(_unit_norm(f))
     return out
 
 
@@ -694,6 +689,14 @@ _DESCRIPTOR_FORMAT = {  # read by _jsonfile.check
 }
 
 
+def _parse(key: str, text: str) -> Expression:
+    """parse_expression(text); its error, position and all, gets the key in front."""
+    try:
+        return parse_expression(text)
+    except ExprError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def descriptor_from_json(data: dict) -> tuple[CrossSectionDescriptor, LieAlgebraData | None]:
     """Build a descriptor (and optional algebra) from its JSON dict, laid
     out as ``_DESCRIPTOR_FORMAT`` says.
@@ -702,8 +705,9 @@ def descriptor_from_json(data: dict) -> tuple[CrossSectionDescriptor, LieAlgebra
     vanishing slot, ascending).  Substitute entries may be omitted: a
     vanishing slot defaults to its t variable, any other slot to its xi.
     Raises ValueError naming the key when the file does not fit that
-    format, and on slots, variables, bounds pieces or structure-constant
-    indices that do not fit the descriptor.
+    format, on an expression that does not parse, and on slots, variables,
+    bounds pieces or structure-constant indices that do not fit the
+    descriptor.
     """
     check(data, _DESCRIPTOR_FORMAT)
     n = data["n"]
@@ -715,7 +719,7 @@ def descriptor_from_json(data: dict) -> tuple[CrossSectionDescriptor, LieAlgebra
             raise ValueError(f"{key}: keys {stray} are not slots 1..{n}")
     text = {key: f"xi{slot}" for key, slot in slots.items()}
     text |= {str(slot): f"t{a}" for a, slot in enumerate(vanishing, 1)} | data.get("substitute", {})
-    substitute = tuple(parse_expression(text[key]) for key in slots)
+    substitute = tuple(_parse(f"substitute {key}", text[key]) for key in slots)
     bounds = {slots[key]: tuple(map(tuple, pieces)) for key, pieces in data["bounds"].items()}
     algebra = None
     if "structure_constants" in data:
@@ -729,8 +733,8 @@ def descriptor_from_json(data: dict) -> tuple[CrossSectionDescriptor, LieAlgebra
     desc = CrossSectionDescriptor(
         n=n,
         vanishing=vanishing,
-        pfaffian_expr=parse_expression(data["pfaffian"]),
-        h_expr=parse_expression(data["h"]),
+        pfaffian_expr=_parse("pfaffian", data["pfaffian"]),
+        h_expr=_parse("h", data["h"]),
         substitute_exprs=substitute,
         bounds=bounds,
         singular_axis=data.get("singular_axis"),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .compact import CircleDual, FiniteGroupData, _entry_weights
 from .euclidean import UncertaintyTerms, _nonzero_norm_sq, _rn_terms
-from .fields import Grid, SampledField, euclidean_ft, l2_norm_sq
+from .fields import Grid, SampledField, _unit_norm, euclidean_ft, l2_norm_sq
 from .fields import test_corpus as _spatial_corpus
 
 __all__ = [
@@ -77,9 +77,7 @@ def product_corpus(grid: Grid, group, seed: int, count: int) -> list[ProductFiel
             else:
                 v = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
             vals += spatial[2 * i + j].values[..., None] * v
-        pf = make_product_field(grid, group, vals)
-        scale = 1.0 / np.sqrt(l2_norm_sq(pf.base))
-        out.append(make_product_field(grid, group, vals * scale))
+        out.append(ProductField(_unit_norm(SampledField(grid, vals, group.haar_weights)), group))
     return out
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from groupft.errors import MomentDivergenceError, ZeroFieldError
+from groupft.errors import DecayError, MomentDivergenceError, ZeroFieldError
 from groupft.euclidean import dilation_sweep, rn_uncertainty
 from groupft.fields import (
     MomentSpec,
@@ -128,3 +128,9 @@ class TestDilationSweep:
     def test_bad_scale_rejected(self, gauss1d):
         with pytest.raises(ValueError):
             dilation_sweep(gauss1d, MomentSpec(1.0, 1.0), [-1.0])
+
+    def test_boundary_decay_guard(self):
+        # t = 0.3 stretches R^2 member 0 by 1/0.3 until it reaches the box edge
+        f = corpus(make_grid(2, [8.0, 8.0], [256, 256]), 0, 1)[0]
+        with pytest.raises(DecayError, match="t=0.3 pushes mass onto the box boundary"):
+            dilation_sweep(f, MomentSpec(1.0, 1.0), [0.3])

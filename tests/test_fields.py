@@ -248,6 +248,12 @@ class TestOddCounts:
         with pytest.raises(ValueError, match="even integers"):
             make_grid(len(counts), [4.0] * len(counts), counts)
 
+    @pytest.mark.parametrize("dim", [True, 1.0, 1.5, np.float64(2.0), "2", 0, -1], ids=repr)
+    def test_make_grid_rejects_bad_dim(self, dim):
+        """dim is not truncated or read from a bool, by the rule Grid applies to counts."""
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            make_grid(dim, [4.0], [8])
+
     def test_grid_rejects_odd_count(self):
         with pytest.raises(ValueError, match="even"):
             Grid((4.0,), (9,))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from groupft import motion
-from groupft.errors import AliasingError, SpectralTailError, ZeroFieldError
+from groupft.errors import AliasingError, DecayError, SpectralTailError, ZeroFieldError
 from groupft.fields import (
     MomentSpec,
     SampledField,
@@ -15,6 +15,7 @@ from groupft.fields import (
 )
 from groupft.motion import (
     PLANCHEREL_C2,
+    LambdaGrid,
     MotionField,
     OperatorMatrix,
     make_lambda_grid,
@@ -48,9 +49,15 @@ def lgrid():
     return make_lambda_grid(16.0, panels=6, nodes_per_panel=10)
 
 
-def radial_field(grid, n_theta=64):
-    g = gaussian_packet(grid)
+def radial_field(grid, n_theta=64, **packet):
+    g = gaussian_packet(grid, **packet)
     return motion_field(grid, np.repeat(g.values[..., None], n_theta, axis=-1))
+
+
+def single_mode_field(grid, mode, n_theta=64):
+    """Gaussian packet times e^{i mode theta}: circle mode ``mode`` carries all the mass."""
+    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    return motion_field(grid, gaussian_packet(grid).values[..., None] * np.exp(1j * mode * th))
 
 
 class TestKernel:
@@ -93,6 +100,17 @@ class TestKernel:
         got = mn_ft(motion_field(small, vals), lam, 3).matrix
         want = brute_force_motion_ft(vals, small.axis(0), small.axis(1), lam, 3)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_plane_waves_beyond_the_dual_box_are_zero(self):
+        # every gamma puts cos or sin beyond the dual half-extent 4/3, where the
+        # grid cannot tell the frequency from its aliases
+        small = make_grid(2, [3.0, 3.0], [16, 16])
+        lam = 12.0
+        assert lam / (2.0 * np.pi) > np.sqrt(2.0) * small.dual_half_extents[0]
+        rng = np.random.default_rng(1)
+        shape = small.counts + (16,)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.all(mn_ft(motion_field(small, vals), lam, 3).matrix == 0)
 
     def test_rejects_bad_lambda_and_truncation(self, grid):
         f = radial_field(grid, n_theta=16)
@@ -177,6 +195,27 @@ class TestPlancherel:
         assert np.array_equal(lg.nodes, np.concatenate([h * x + m for h, m in zip(halves, mids)]))
         assert np.array_equal(lg.weights, np.concatenate([h * w for h in halves]))
 
+    @pytest.mark.parametrize(
+        "args",
+        [(np.nan, 6, 10), (np.inf, 6, 10), (-np.inf, 6, 10), (0.0, 6, 10)]
+        + [(16.0, True, 10), (16.0, 6, True), (16.0, 6.0, 10), (16.0, 6, 2.5), (16.0, 0, 10)],
+        ids=str,
+    )
+    def test_lambda_grid_rejects_bad_input(self, args):
+        with pytest.raises(ValueError, match="lam_max|panels|nodes_per_panel"):
+            make_lambda_grid(*args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=str)
+    @pytest.mark.parametrize("part", ["nodes", "weights", "lam_max"])
+    def test_lambda_grid_rejects_non_finite_rule(self, bad, part):
+        lg = make_lambda_grid(16, 6, 10)
+        parts = {"nodes": lg.nodes.copy(), "weights": lg.weights.copy(), "lam_max": bad}
+        if part != "lam_max":
+            parts["lam_max"] = lg.lam_max
+            parts[part][3] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            LambdaGrid(**parts)
+
     def test_tail_diagnostic(self, corpus):
         tiny = make_lambda_grid(0.5, panels=2, nodes_per_panel=4)
         with pytest.raises(SpectralTailError):
@@ -253,6 +292,27 @@ class TestUncertainty:
         f = motion_field(grid, np.zeros(grid.counts + (16,)))
         with pytest.raises(ZeroFieldError):
             mn_uncertainty(f, MomentSpec(1.0, 1.0), lgrid, 8)
+
+
+GUARDED_CALLS = [
+    lambda f, lgrid, m: mn_plancherel_ratio(f, lgrid, m),
+    lambda f, lgrid, m: mn_uncertainty(f, MomentSpec(1.0, 1.0), lgrid, m),
+]
+
+
+@pytest.mark.parametrize("call", GUARDED_CALLS, ids=["plancherel", "uncertainty"])
+class TestGuards:
+    def test_undecayed_field_rejected(self, grid, lgrid, call):
+        f = radial_field(grid, n_theta=16, widths=4.0)
+        with pytest.raises(DecayError, match="spatial box boundary"):
+            call(f, lgrid, 4)
+
+    def test_mass_only_beyond_truncation_is_an_empty_profile(self, grid, lgrid, call):
+        # the kept modes |m| <= 16 hold only FFT round-off of the m = 20 mode
+        f = single_mode_field(grid, 20)
+        assert np.all(mn_hs_profile(f, lgrid.nodes, 16) == 0)
+        with pytest.raises(ZeroFieldError, match="empty spectral profile"):
+            call(f, lgrid, 16)
 
 
 class TestCircleWeights:

@@ -212,6 +212,12 @@ def test_plancherel_n3_default_nodes(t3_member):
     assert abs(ratio - 1.0) < 2e-4
 
 
+def test_uncertainty_computes_the_profile_it_is_not_given(t3_member):
+    f, desc, spec = t3_member, nil.threadlike_descriptor(3), MomentSpec(2.0, 1.5)
+    given = nil.nilpotent_uncertainty(f, desc, spec, 4, 16, nil.nilpotent_w_profile(f, desc, 4, 16))
+    assert nil.nilpotent_uncertainty(f, desc, spec, 4, 16) == given
+
+
 def test_plancherel_and_inequality_n4():
     """n = 4 member 0 on 48^4, extent 5.  The ratio is not converged at the
     default nodes (1.011, against 1.19 at w=8/t=16), so this checks that it
@@ -409,9 +415,14 @@ def test_loader_top_level_not_an_object(tmp_path, top):
         ({"bounds": {"1": [[-3.2, True]]}}, "bounds: True is not a finite number"),
         ({"bounds": {"x": [[0.05, 3.2]]}}, r"bounds: keys \['x'\] are not slots 1..3"),
         ({"vanishing": [2, True]}, "vanishing: True is not an integer"),
+        ({"pfaffian": "("}, r"pfaffian: '\(' was never closed \(at position 0\)$"),
+        ({"h": "1/xi1 +"}, r"h: invalid syntax \(at position 7\)$"),
+        ({"substitute": {"3": "xi3 - t1 xi1"}}, r"substitute 3: invalid syntax \(at position 9\)$"),
+        ({"substitute": {"1": "xi1 # 2"}}, "substitute 1: unexpected character '#'"),
     ],
     ids=["misspelt-singular-axis", "schema-2", "schema-true", "short-constant"]
-    + ["bool-index", "long-piece", "bool-bound", "non-slot-bound", "bool-slot"],
+    + ["bool-index", "long-piece", "bool-bound", "non-slot-bound", "bool-slot"]
+    + ["bad-pfaffian", "bad-h", "bad-substitute-3", "bad-substitute-1"],
 )
 def test_loader_names_the_bad_key(tmp_path, edit, message):
     """A misspelt optional key no longer drops the band guard unnoticed."""
