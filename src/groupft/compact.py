@@ -29,8 +29,6 @@ __all__ = [
     "CircleDual",
     "builtin_group",
     "validate_group",
-    "k_plancherel_defect",
-    "group_to_json",
     "group_from_json",
     "load_group_file",
 ]
@@ -184,31 +182,9 @@ def _entry_weights(K: FiniteGroupData | CircleDual) -> np.ndarray:
     return np.repeat(np.asarray(K.irrep_dims, dtype=np.float64), np.square(K.irrep_dims))
 
 
-def k_plancherel_defect(K: FiniteGroupData | CircleDual, phi) -> float:
-    """| sum_sigma d_sigma ||phihat(sigma)||_HS^2  -  ||phi||_2^2 | on K."""
-    phi = np.asarray(phi, dtype=np.complex128)
-    if isinstance(K, FiniteGroupData) and validate_group(K):
-        raise ValueError("invalid group data")
-    if phi.shape != (K.order,):
-        raise ValueError(f"phi must have shape ({K.order},)")
-    w = K.haar_weights
-    dual_side = _entry_weights(K) @ np.abs((phi * w) @ K.entry_kernel()) ** 2
-    return abs(float(dual_side) - float(np.sum(w * np.abs(phi) ** 2)))
-
-
 # ---------------------------------------------------------------------------
 # JSON group files
 # ---------------------------------------------------------------------------
-
-
-def group_to_json(K: FiniteGroupData) -> dict:
-    """Bit-exact JSON dict of a group, laid out as ``_GROUP_FORMAT`` says:
-    table row g, column h holds g*h, and matrices[k][i][j] = [re, im]."""
-    irreps = []
-    for mats in K.irreps:
-        entries = np.stack([mats.real, mats.imag], axis=-1)
-        irreps.append({"dim": int(mats.shape[1]), "matrices": entries.tolist()})
-    return {"name": K.name, "order": K.order, "table": K.table.tolist(), "irreps": irreps}
 
 
 _GROUP_FORMAT = {  # read by _jsonfile.check
@@ -231,8 +207,8 @@ def _array(value, dtype, shape, label: str) -> np.ndarray:
 
 
 def group_from_json(data: dict) -> FiniteGroupData:
-    """Build a group from its JSON dict, laid out as ``_GROUP_FORMAT`` says
-    (``group_to_json`` writes it).
+    """Build a group from its JSON dict, laid out as ``_GROUP_FORMAT`` says:
+    table row g, column h holds g*h, and matrices[k][i][j] = [re, im].
 
     Raises ValueError naming the key when the file does not fit that format
     and when the table or an irrep's matrices do not have the shape

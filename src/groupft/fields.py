@@ -39,7 +39,6 @@ __all__ = [
     "SampledField",
     "MomentSpec",
     "make_grid",
-    "field_from_function",
     "gaussian_packet",
     "l2_norm_sq",
     "weighted_moment",
@@ -190,11 +189,18 @@ class MomentSpec:
             raise ValueError(f"b must be >= 1, got {self.b}")
 
 
-def field_from_function(grid: Grid, fn) -> SampledField:
-    """Sample ``fn(x_1, ..., x_n)`` (vectorised over broadcast arrays)."""
-    mesh = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
-    vals = np.broadcast_to(np.asarray(fn(*mesh), dtype=np.complex128), grid.counts)
-    return SampledField(grid, vals.copy())
+def _memo(field, key, compute):
+    """``compute()`` once per field object and ``key``, kept in the field's own
+    ``__dict__``.
+
+    Fields are frozen and their value arrays read-only, so a stored result
+    cannot go stale, and it lives exactly as long as the field.  An
+    exception is not stored: the next call computes (and raises) again.
+    """
+    memo = field.__dict__.setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def gaussian_packet(

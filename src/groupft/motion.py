@@ -28,7 +28,9 @@ no mass by one rule (``_carrying_modes``: norm below 1e-14 of the peak over
 all circle modes, before the profiles keep |m| <= M).
 Parseval over the circle grid, sum_k |F(xi, theta_k)|^2 / n_theta =
 sum_m |C_m(xi)|^2, lets the tail transform only the carrying mode planes
-instead of every circle slice.
+instead of every circle slice.  The guards (norm, boundary decay, spectral
+tail) run once per field and lam_max, and are kept on the field
+(``fields._memo``) for its Plancherel ratio and every lattice point.
 
 The formulas keep the general-n shape (weights lambda^{n-1}, constant
 c_n = 2/(2^{n/2} Gamma(n/2))) specialised to n = 2, where the small
@@ -54,6 +56,7 @@ from .fields import (
     SampledField,
     _axis_phase,
     _gauss_rule,
+    _memo,
     _require_decay,
     _unit_norm,
     euclidean_ft,
@@ -371,10 +374,22 @@ def _kappa(
     f: MotionField, lgrid: LambdaGrid, m_max: int, profile
 ) -> tuple[float, float, np.ndarray]:
     """(kappa, ||f||^2, profile) after the guards: the raw Plancherel ratio, which
-    raises ZeroFieldError when the kept modes carry no spectral mass."""
-    norm_sq = _quadrature_guard(f, lgrid)
+    raises ZeroFieldError when the kept modes carry no spectral mass.
+
+    The guards run once per field and lam_max (a field that fails raises
+    again on every call), and ``profile=None`` takes the HS-profile
+    computed once per field, lambda nodes and m_max; a given profile must
+    hold one value per lambda node.
+    """
+    norm_sq = _memo(f, ("guard", lgrid.lam_max), lambda: _quadrature_guard(f, lgrid))
     if profile is None:
-        profile = mn_hs_profile(f, lgrid.nodes, m_max)
+        nodes = np.asarray(lgrid.nodes, dtype=float)
+        key = ("profile", nodes.tobytes(), m_max)
+        profile = _memo(f, key, lambda: mn_hs_profile(f, nodes, m_max))
+    elif np.shape(profile) != np.shape(lgrid.nodes):
+        raise ValueError(
+            f"profile has shape {np.shape(profile)}, the lambda nodes {np.shape(lgrid.nodes)}"
+        )
     kappa = _lambda_moment(lgrid, profile, 0.0) / norm_sq
     if kappa <= 0.0:
         raise ZeroFieldError("empty spectral profile")
@@ -388,8 +403,10 @@ def mn_plancherel_ratio(
 
     Function-independent by the Plancherel theorem; the value measures the
     transform-convention constant kappa and is reported raw.  With
-    ``profile=None`` the HS-profile is recomputed on every call; sweeps
-    should compute it once (``mn_hs_profiles``) and pass ``profile=``.
+    ``profile=None`` the HS-profile is computed once per field, lambda
+    nodes and m_max, and later calls reuse it; sweeps over many fields
+    should compute theirs together (``mn_hs_profiles``) and pass
+    ``profile=``, one value per lambda node (ValueError otherwise).
     Raises ZeroFieldError when no mode |m| <= m_max carries mass.
     """
     return _kappa(f, lgrid, m_max, profile)[0]
@@ -411,9 +428,10 @@ def mn_uncertainty(
     with kappa the measured Plancherel ratio of the same field, so the
     inequality is tested in the normalisation where Plancherel holds
     exactly.  The momentum moment passed on is the lambda integral over
-    kappa, and the lhs divisor 2 sqrt(c_2).  With ``profile=None`` the
-    HS-profile is recomputed on every call; sweeps should compute it once
-    (``mn_hs_profiles``) and pass ``profile=``.
+    kappa, and the lhs divisor 2 sqrt(c_2).  ``profile`` works as in
+    ``mn_plancherel_ratio``: with None the HS-profile is computed once per
+    field, lambda nodes and m_max, and shared by the Plancherel ratio and
+    every (a, b).
     """
     kappa, norm_sq, profile = _kappa(f, lgrid, m_max, profile)
     momentum = _lambda_moment(lgrid, profile, 2.0 * spec.b) / kappa

@@ -57,6 +57,7 @@ from .fields import (
     SampledField,
     _axis_phase,
     _gauss_rule,
+    _memo,
     _require_decay,
     _unit_norm,
     axis_band_fraction,
@@ -77,7 +78,6 @@ __all__ = [
     "singular_band_fraction",
     "nilpotent_corpus",
     "descriptor_from_json",
-    "descriptor_to_json",
     "load_descriptor_file",
     "validate_descriptor",
 ]
@@ -564,6 +564,24 @@ def _plancherel_guard(f: SampledField, desc) -> float:
     return norm_sq
 
 
+def _profile(f: SampledField, desc, w_nodes: int, t_nodes: int, profile):
+    """``profile`` once its shapes agree, or with None the default profile,
+    computed once per field, descriptor object and (w_nodes, t_nodes)."""
+    if profile is None:
+        # the entry holds desc, so its id cannot be reused while the entry lives
+        key = ("w_profile", id(desc), w_nodes, t_nodes)
+        return _memo(f, key, lambda: (desc, nilpotent_w_profile(f, desc, w_nodes, t_nodes)))[1]
+    points, weights, values = profile
+    p, k = np.size(values), len(desc.cross_slots)
+    shapes = (np.shape(points), np.shape(weights), np.shape(values))
+    if shapes != ((p, k), (p,), (p,)):
+        raise ValueError(
+            f"profile: points, weights and values have shapes {shapes}; they need "
+            f"(P, {k}), (P,) and (P,), one row per point and {k} cross-section coordinates"
+        )
+    return profile
+
+
 def nilpotent_plancherel_ratio(
     f: SampledField,
     desc: CrossSectionDescriptor,
@@ -575,13 +593,14 @@ def nilpotent_plancherel_ratio(
 
     Fields carrying >= 0.5% of their spectral mass inside the excluded
     band are rejected with the excluded mass attached to the error.  With
-    ``profile=None`` the HS-profile is recomputed on every call; sweeps
-    should compute it once (``nilpotent_w_profile``) and pass ``profile=``.
+    ``profile=None`` the HS-profile is computed once per field, descriptor
+    object and (w_nodes, t_nodes), and later calls reuse it; a given
+    ``profile=`` (from ``nilpotent_w_profile``) needs P points of
+    ``len(desc.cross_slots)`` coordinates and P weights and values
+    (ValueError otherwise).
     """
     norm_sq = _plancherel_guard(f, desc)
-    if profile is None:
-        profile = nilpotent_w_profile(f, desc, w_nodes, t_nodes)
-    points, weights, values = profile
+    points, weights, values = _profile(f, desc, w_nodes, t_nodes, profile)
     pf = np.abs(desc.pfaffian(desc.embed(points)))
     return float(np.sum(weights * values * pf)) / norm_sq
 
@@ -600,14 +619,13 @@ def nilpotent_uncertainty(
     |xi| the Euclidean norm of the cross-section point (vanishing slots
     contribute zero); position side is the Euclidean moment in exponential
     coordinates; lhs = ||f||^{1/a + 1/b} / (4 pi).  That integral is the
-    momentum moment passed on, and 4 pi the lhs divisor.  With
-    ``profile=None`` the HS-profile is recomputed on every call; sweeps
-    should compute it once (``nilpotent_w_profile``) and pass ``profile=``.
+    momentum moment passed on, and 4 pi the lhs divisor.  ``profile``
+    works as in ``nilpotent_plancherel_ratio``: with None the HS-profile is
+    computed once per field, descriptor object and (w_nodes, t_nodes), and
+    shared by the Plancherel ratio and every (a, b).
     """
     norm_sq = _plancherel_guard(f, desc)
-    if profile is None:
-        profile = nilpotent_w_profile(f, desc, w_nodes, t_nodes)
-    points, weights, values = profile
+    points, weights, values = _profile(f, desc, w_nodes, t_nodes, profile)
     xi = desc.embed(points)
     pf = np.abs(desc.pfaffian(xi))
     habs = np.abs(desc.h(xi))
@@ -741,21 +759,6 @@ def descriptor_from_json(data: dict) -> tuple[CrossSectionDescriptor, LieAlgebra
         label=data.get("name", "descriptor"),
     )
     return desc, algebra
-
-
-def descriptor_to_json(desc: CrossSectionDescriptor) -> dict:
-    """JSON dict of a descriptor (round-trips files, less structure constants)."""
-    return {
-        "schema": 1,
-        "name": desc.label,
-        "n": desc.n,
-        "vanishing": list(desc.vanishing),
-        "pfaffian": desc.pfaffian_expr.source,
-        "h": desc.h_expr.source,
-        "substitute": {str(slot): e.source for slot, e in enumerate(desc.substitute_exprs, 1)},
-        "bounds": {str(k): [list(p) for p in v] for k, v in desc.bounds.items()},
-        "singular_axis": desc.singular_axis,
-    }
 
 
 def load_descriptor_file(path) -> tuple[CrossSectionDescriptor, LieAlgebraData | None]:

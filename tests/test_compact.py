@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from groupft import compact
 from groupft.compact import (
     CircleDual,
     FiniteGroupData,
+    _entry_weights,
     builtin_group,
     group_from_json,
-    group_to_json,
-    k_plancherel_defect,
     load_group_file,
     validate_group,
 )
@@ -23,6 +23,20 @@ from .json_kinds import NOT_OBJECT_IDS, NOT_OBJECTS, check_every_kind
 from .oracles import cyclic_group, group_irreps, peter_weyl_blocks, symmetric_group_3
 
 ROOT = Path(__file__).resolve().parents[1]
+DATA = Path(compact.__file__).resolve().parent / "data"
+
+
+def shipped_s3() -> dict:
+    """The parsed shipped S3 file, a fresh dict to edit."""
+    return json.loads((DATA / "s3.json").read_text())
+
+
+def k_plancherel_defect(K, phi) -> float:
+    """| sum_sigma d_sigma ||phihat(sigma)||_HS^2  -  ||phi||_2^2 | on K."""
+    phi = np.asarray(phi, dtype=np.complex128)
+    w = K.haar_weights
+    dual_side = _entry_weights(K) @ np.abs((phi * w) @ K.entry_kernel()) ** 2
+    return abs(float(dual_side) - float(np.sum(w * np.abs(phi) ** 2)))
 
 
 @pytest.fixture(scope="module")
@@ -164,15 +178,15 @@ class TestCircleDual:
 class TestGroupFiles:
     def test_roundtrip(self, tmp_path, s3):
         path = tmp_path / "s3.json"
-        path.write_text(json.dumps(group_to_json(s3)))
+        path.write_text(json.dumps(shipped_s3()))
         back = load_group_file(path)
         assert np.array_equal(back.table, s3.table)
         for a, b in zip(back.irreps, s3.irreps):
             assert np.array_equal(a, b)
         assert validate_group(back) == []
 
-    def test_bad_shape_rejected(self, s3):
-        data = group_to_json(s3)
+    def test_bad_shape_rejected(self):
+        data = shipped_s3()
         data["irreps"][0]["matrices"] = data["irreps"][0]["matrices"][:3]
         with pytest.raises(ValueError):
             group_from_json(data)
@@ -212,8 +226,8 @@ class TestGroupFiles:
         + ["narrow-table", "ragged-table", "huge-entry", "list-order", "list-dim", "nan-entry"]
         + ["short-pair", "unknown-key", "unknown-irrep-key"],
     )
-    def test_bad_key_named(self, tmp_path, s3, edit, message):
-        data = group_to_json(s3)
+    def test_bad_key_named(self, tmp_path, edit, message):
+        data = shipped_s3()
         edit(data)
         with pytest.raises(ValueError, match=f"^{message}$"):
             group_from_json(data)
@@ -242,8 +256,8 @@ class TestGroupFiles:
         ],
         ids=["name", "order", "table", "irreps", "irreps0-dim", "irreps0-matrices"],
     )
-    def test_every_json_kind(self, tmp_path, s3, path, label, right):
-        check_every_kind(group_to_json(s3), path, label, right, group_from_json, load_group_file, tmp_path)
+    def test_every_json_kind(self, tmp_path, path, label, right):
+        check_every_kind(shipped_s3(), path, label, right, group_from_json, load_group_file, tmp_path)
 
     @pytest.mark.parametrize("top", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
     def test_top_level_not_an_object(self, tmp_path, top):

@@ -8,7 +8,6 @@ from groupft.euclidean import dilation_sweep, rn_uncertainty
 from groupft.fields import (
     MomentSpec,
     SampledField,
-    field_from_function,
     gaussian_packet,
     l2_norm_sq,
     make_grid,
@@ -73,7 +72,7 @@ def test_norm_invariance(grid1d):
 
 def test_moment_divergence_flagged():
     g = make_grid(1, [8.0], [256])
-    slow = field_from_function(g, lambda x: 1.0 / (1.0 + x**2) + 0j)
+    slow = SampledField(g, 1.0 / (1.0 + g.axis(0) ** 2) + 0j)
     with pytest.raises(MomentDivergenceError):
         rn_uncertainty(slow, MomentSpec(2.0, 1.0))
 

@@ -17,7 +17,6 @@ from groupft.fields import (
     axis_band_fraction,
     boundary_decay,
     euclidean_ft,
-    field_from_function,
     gaussian_packet,
     inverse_euclidean_ft,
     l2_norm_sq,
@@ -89,7 +88,7 @@ class TestNorms:
 
     def test_unit_box(self):
         g = make_grid(1, [4.0], [256])
-        f = field_from_function(g, lambda x: (np.abs(x) <= 0.5).astype(complex))
+        f = SampledField(g, (np.abs(g.axis(0)) <= 0.5).astype(complex))
         assert l2_norm_sq(f) == pytest.approx(1.0, abs=g.spacings[0])
 
     def test_moment_exponent_two(self, gauss1d):
@@ -404,7 +403,7 @@ class TestCorpus:
 class TestDiagnostics:
     def test_boundary_fraction_flags_heavy_tails(self):
         g = make_grid(1, [8.0], [256])
-        f = field_from_function(g, lambda x: 1.0 / (1.0 + x**2) + 0j)
+        f = SampledField(g, 1.0 / (1.0 + g.axis(0) ** 2) + 0j)
         # x^4 /(1+x^2)^2 integrand grows toward the boundary
         assert moment_boundary_fraction(f, 4.0) > 1e-6
         assert moment_boundary_fraction(gaussian_packet(g), 2.0) < 1e-8

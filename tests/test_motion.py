@@ -395,3 +395,88 @@ class TestSpectralTail:
         monkeypatch.setattr(motion, "euclidean_ft", recording_ft)
         mn_spectral_tail_fraction(f, 16.0)
         assert planes == [n_modes]
+
+
+LATTICE = [MomentSpec(a, b) for a in (1.0, 2.0) for b in (1.0, 2.0)]
+
+
+def counting(monkeypatch, module, *names):
+    """Replace each named module attribute by a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestFieldMemo:
+    """The guards and the default-path profile run once per field and key."""
+
+    SMALL = make_grid(2, [6.0, 6.0], [32, 32])  # tail 9e-4 beyond lam_max 8 at M = 8
+    SMALL_LGRID = make_lambda_grid(8.0, panels=2, nodes_per_panel=10)
+
+    def small_member(self):
+        return motion_corpus(self.SMALL, 32, 5, 1)[0]  # a new object: nothing stored yet
+
+    def test_default_path_bits_match_given_profile(self, grid, lgrid):
+        fresh, unstored = motion_corpus(grid, 128, 5, 1)[0], motion_corpus(grid, 128, 5, 1)[0]
+        given = mn_hs_profile(fresh, lgrid.nodes, 16)
+        kappa = mn_plancherel_ratio(fresh, lgrid, 16)
+        assert kappa == mn_plancherel_ratio(fresh, lgrid, 16, profile=given)
+        assert kappa == mn_plancherel_ratio(unstored, lgrid, 16, profile=given)
+        for spec in LATTICE:
+            terms = mn_uncertainty(fresh, spec, lgrid, 16)
+            assert terms == mn_uncertainty(fresh, spec, lgrid, 16, profile=given)
+            assert terms == mn_uncertainty(unstored, spec, lgrid, 16, profile=given)
+
+    def test_one_tail_and_one_profile_per_field(self, monkeypatch):
+        f, lg = self.small_member(), self.SMALL_LGRID
+        calls = counting(monkeypatch, motion, "mn_spectral_tail_fraction", "mn_hs_profile")
+        mn_plancherel_ratio(f, lg, 8)
+        for spec in LATTICE:
+            mn_uncertainty(f, spec, lg, 8)
+        assert calls == {"mn_spectral_tail_fraction": 1, "mn_hs_profile": 1}
+
+    @pytest.mark.parametrize(
+        "change, tails, profiles",
+        [("same", 0, 0), ("fresh-field", 1, 1), ("m_max", 0, 1), ("lambda-grid", 0, 1)]
+        + [("lam_max", 1, 1), ("lam_max-only", 1, 0)],
+    )
+    def test_recomputes_on_another_key(self, monkeypatch, change, tails, profiles):
+        f, lg, m = self.small_member(), self.SMALL_LGRID, 8
+        mn_plancherel_ratio(f, lg, m)
+        if change == "fresh-field":
+            f = self.small_member()
+        elif change == "m_max":
+            m = 6
+        elif change == "lambda-grid":
+            lg = make_lambda_grid(8.0, panels=3, nodes_per_panel=10)
+        elif change == "lam_max":
+            lg = make_lambda_grid(9.0, panels=2, nodes_per_panel=10)
+        elif change == "lam_max-only":
+            lg = LambdaGrid(lg.nodes, lg.weights, 8.5)
+        calls = counting(monkeypatch, motion, "mn_spectral_tail_fraction", "mn_hs_profile")
+        mn_uncertainty(f, LATTICE[0], lg, m)
+        assert calls == {"mn_spectral_tail_fraction": tails, "mn_hs_profile": profiles}
+
+    def test_a_failed_guard_raises_on_every_call(self, grid, lgrid, monkeypatch):
+        f = radial_field(grid, n_theta=16, widths=4.0)
+        calls = counting(monkeypatch, motion, "_require_decay")
+        for _ in range(2):
+            with pytest.raises(DecayError, match="spatial box boundary"):
+                mn_plancherel_ratio(f, lgrid, 4)
+        assert calls == {"_require_decay": 2}
+
+    @pytest.mark.parametrize("cut", [np.s_[:1], np.s_[:7], np.s_[None, :]], ids=["one", "seven", "row"])
+    def test_rejects_a_profile_of_the_wrong_shape(self, corpus, lgrid, cut):
+        # one value would broadcast over every lambda weight: kappa 93.9, not 2 pi
+        prof = mn_hs_profile(corpus[0], lgrid.nodes, 16)[cut]
+        with pytest.raises(ValueError, match=r"profile has shape \(.*\), the lambda nodes \(60,\)"):
+            mn_plancherel_ratio(corpus[0], lgrid, 16, profile=prof)
+        with pytest.raises(ValueError, match="profile has shape"):
+            mn_uncertainty(corpus[0], LATTICE[0], lgrid, 16, profile=prof)

@@ -263,13 +263,28 @@ def test_shipped_descriptor_valid(n):
     assert nil.validate_descriptor(nil.threadlike_descriptor(n), threadlike_algebra(n)) == []
 
 
+def descriptor_to_json(desc: nil.CrossSectionDescriptor) -> dict:
+    """JSON dict of a descriptor (round-trips files, less structure constants)."""
+    return {
+        "schema": 1,
+        "name": desc.label,
+        "n": desc.n,
+        "vanishing": list(desc.vanishing),
+        "pfaffian": desc.pfaffian_expr.source,
+        "h": desc.h_expr.source,
+        "substitute": {str(slot): e.source for slot, e in enumerate(desc.substitute_exprs, 1)},
+        "bounds": {str(k): [list(p) for p in v] for k, v in desc.bounds.items()},
+        "singular_axis": desc.singular_axis,
+    }
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_shipped_file_roundtrip(n):
     data = shipped(n)
     desc, _ = nil.descriptor_from_json(data)
     del data["structure_constants"]
-    assert nil.descriptor_to_json(desc) == data
-    assert nil.descriptor_from_json(nil.descriptor_to_json(desc))[0] == desc
+    assert descriptor_to_json(desc) == data
+    assert nil.descriptor_from_json(descriptor_to_json(desc))[0] == desc
 
 
 def test_threadlike_only_builtin_dimensions():
@@ -579,3 +594,87 @@ def test_slice_and_block_counts(subscripts, shapes, path, count, want):
     t = 16 folds 14 planes at a time and takes 42-point blocks."""
     operands = [np.broadcast_to(np.zeros((), complex), s) for s in shapes]
     assert nil._slices_per_einsum(subscripts, operands, ["einsum_path"] + path, count) == want
+
+
+LATTICE = [MomentSpec(a, b) for a in (1.0, 2.0) for b in (1.0, 2.0)]
+
+
+def fresh_t3_member():
+    """``t3_member``'s values in a new field object, which holds no stored profile."""
+    return nil.nilpotent_corpus(make_grid(3, [5.0] * 3, [48] * 3), 0, 1)[0]
+
+
+def counting_w_profile(monkeypatch) -> list:
+    calls = []
+    original = nil.nilpotent_w_profile
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[2:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nil, "nilpotent_w_profile", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("source", ["builtin", "json"])
+def test_default_profile_bits_match_given_profile(source):
+    if source == "builtin":
+        desc = nil.threadlike_descriptor(3)
+    else:
+        desc, _ = nil.load_descriptor_file(ROOT / "perfbench" / "data" / "threadlike3.json")
+    f, unstored = fresh_t3_member(), fresh_t3_member()
+    given = nil.nilpotent_w_profile(f, desc)
+    ratio = nil.nilpotent_plancherel_ratio(f, desc)
+    assert ratio == nil.nilpotent_plancherel_ratio(f, desc, profile=given)
+    assert ratio == nil.nilpotent_plancherel_ratio(unstored, desc, profile=given)
+    for spec in LATTICE:
+        terms = nil.nilpotent_uncertainty(f, desc, spec)
+        assert terms == nil.nilpotent_uncertainty(unstored, desc, spec, profile=given)
+
+
+def test_one_default_profile_per_field(monkeypatch):
+    f, desc = fresh_t3_member(), nil.threadlike_descriptor(3)
+    calls = counting_w_profile(monkeypatch)
+    nil.nilpotent_plancherel_ratio(f, desc, 4, 16)
+    for spec in LATTICE:
+        nil.nilpotent_uncertainty(f, desc, spec, 4, 16)
+    assert calls == [(4, 16)]
+
+
+@pytest.mark.parametrize(
+    "change, recomputes",
+    [("same", False), ("fresh field", True), ("descriptor object", True)]
+    + [("w_nodes", True), ("t_nodes", True)],
+)
+def test_default_profile_recomputed_on_another_key(monkeypatch, change, recomputes):
+    f, desc = fresh_t3_member(), nil.threadlike_descriptor(3)
+    nil.nilpotent_plancherel_ratio(f, desc, 4, 16)
+    w, t = 4, 16
+    if change == "fresh field":
+        f = fresh_t3_member()
+    elif change == "descriptor object":
+        desc = nil.threadlike_descriptor(3)  # equal content, another object
+    elif change == "w_nodes":
+        w = 3
+    elif change == "t_nodes":
+        t = 12
+    calls = counting_w_profile(monkeypatch)
+    nil.nilpotent_uncertainty(f, desc, LATTICE[0], w, t)
+    assert calls == ([(w, t)] if recomputes else [])
+
+
+@pytest.mark.parametrize(
+    "part, cut",
+    [("points", np.s_[:, [0, 0]]), ("points", np.s_[:-1]), ("weights", np.s_[:-1])]
+    + [("values", np.s_[:-1]), ("values", np.s_[None, :])],
+    ids=["two-columns", "short-points", "short-weights", "short-values", "row-values"],
+)
+def test_rejects_a_profile_of_the_wrong_shape(t3_member, part, cut):
+    desc = nil.threadlike_descriptor(3)
+    profile = dict(zip(("points", "weights", "values"), nil.nilpotent_w_profile(t3_member, desc, 4, 16)))
+    profile[part] = profile[part][cut]
+    bad = tuple(profile.values())
+    with pytest.raises(ValueError, match=r"^profile: points, weights and values have shapes"):
+        nil.nilpotent_plancherel_ratio(t3_member, desc, profile=bad)
+    with pytest.raises(ValueError, match=r"need \(P, 1\), \(P,\) and \(P,\)"):
+        nil.nilpotent_uncertainty(t3_member, desc, LATTICE[0], profile=bad)
