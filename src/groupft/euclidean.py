@@ -7,9 +7,11 @@ For exponents a, b >= 1 the inequality under test is
 
 with equality at a = b = 1 exactly for Gaussians.  ``_uncertainty_terms``
 is the one assembly of lhs / position term / momentum term for every group
-family, which passes only its momentum moment (its dual integral of
-|xi|^{2b}) and the divisor of its lhs (4 pi / n above); ``_nonzero_norm_sq``
-is the one zero-field rejection.
+family, which passes ||f||^2, its position moment, its momentum moment
+(its dual integral of |xi|^{2b}) and the divisor of its lhs (4 pi / n
+above); ``_nonzero_norm_sq`` is the one zero-field rejection.  R^n and
+R^n x K keep each field's norm and moments on the field (``fields._memo``),
+so a lattice over (a, b) takes one transform per distinct b.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import DecayError, MomentDivergenceError, ZeroFieldError
 from .fields import (
     MomentSpec,
     SampledField,
+    _memo,
     _require_decay,
     euclidean_ft,
     l2_norm_sq,
@@ -66,16 +69,26 @@ def _nonzero_norm_sq(f: SampledField) -> float:
 
 
 def _uncertainty_terms(
-    f: SampledField, spec: MomentSpec, norm_sq: float, momentum_moment: float, lhs_divisor: float
+    spec: MomentSpec,
+    norm_sq: float,
+    position_moment: float,
+    momentum_moment: float,
+    lhs_divisor: float,
 ) -> UncertaintyTerms:
-    """position = checked_moment(f, 2a)^(1/2a), momentum = momentum_moment^(1/2b),
+    """position = position_moment^(1/2a), momentum = momentum_moment^(1/2b),
     lhs = norm_sq^((1/a + 1/b)/2) / lhs_divisor.  A divisor such as 4 pi / n is
-    exact in floating point for n = 1, 2, 4, so lhs rounds once there.  Callers evaluate
-    the momentum moment first, so where both moments diverge the momentum one is reported."""
-    position = checked_moment(f, 2.0 * spec.a, "position") ** (1.0 / (2.0 * spec.a))
+    exact in floating point for n = 1, 2, 4, so lhs rounds once there.  Callers take
+    the norm, then the momentum moment, then the position moment, so a zero field is
+    reported first and, where both moments diverge, the momentum one."""
+    position = position_moment ** (1.0 / (2.0 * spec.a))
     momentum = momentum_moment ** (1.0 / (2.0 * spec.b))
     lhs = norm_sq ** (0.5 * (1.0 / spec.a + 1.0 / spec.b)) / lhs_divisor
     return UncertaintyTerms(lhs, position, momentum, position * momentum / lhs)
+
+
+def _position_moment(f: SampledField, a: float) -> float:
+    """checked_moment(f, 2a), kept on f under ("position", a)."""
+    return _memo(f, ("position", a), lambda: checked_moment(f, 2.0 * a, "position"))
 
 
 def rn_uncertainty(f: SampledField, spec: MomentSpec) -> UncertaintyTerms:
@@ -84,22 +97,35 @@ def rn_uncertainty(f: SampledField, spec: MomentSpec) -> UncertaintyTerms:
     At a = b = 1 this is the plain Heisenberg product (same code path).
     Momentum moment int |xi|^{2b} |fhat|^2 dxi, lhs divisor 4 pi / n.
     Raises ZeroFieldError for ||f|| = 0 and MomentDivergenceError when a
-    moment integrand has not decayed inside the box.
+    moment integrand has not decayed inside the box.  ||f||^2, the position
+    moment per a and the momentum moment per b are kept on f, so later
+    calls on the same field reuse them and fhat is computed once per
+    distinct b; an error is raised again on every call.
     """
-    return _rn_terms(f, spec, _nonzero_norm_sq(f), euclidean_ft(f))
+    return _rn_terms(f, spec, f, euclidean_ft)
 
 
-def _rn_terms(
-    f: SampledField, spec: MomentSpec, norm_sq: float, fhat: SampledField
-) -> UncertaintyTerms:
-    """rn_uncertainty for a field whose nonzero ||f||^2 and dual field fhat the
-    caller has taken; fhat's group axis, if any, is summed with its weights."""
-    momentum = checked_moment(fhat, 2.0 * spec.b, "frequency")
-    return _uncertainty_terms(f, spec, norm_sq, momentum, 4.0 * np.pi / f.grid.dim)
+def _rn_terms(f: SampledField, spec: MomentSpec, owner, transform) -> UncertaintyTerms:
+    """The R^n assembly for the primal field f and the object ``owner`` whose
+    dual field is ``transform(owner)`` (f itself on R^n, the ProductField on
+    R^n x K); the dual's group axis, if any, is summed with its weights.
+
+    Each value goes through ``fields._memo``: the nonzero ||f||^2 and
+    ("position", a) on f, ("momentum", b) on owner.  The transform runs
+    inside the momentum entry's compute, so only on a miss.
+    """
+    norm_sq = _memo(f, "norm_sq", lambda: _nonzero_norm_sq(f))
+    momentum = _memo(
+        owner,
+        ("momentum", spec.b),
+        lambda: checked_moment(transform(owner), 2.0 * spec.b, "frequency"),
+    )
+    position = _position_moment(f, spec.a)
+    return _uncertainty_terms(spec, norm_sq, position, momentum, 4.0 * np.pi / f.grid.dim)
 
 
-def _dilate(f: SampledField, t: float) -> SampledField:
-    """f_t(x) = t^{n/2} f(t x) by direct dual-space resampling.
+def _dilate(f: SampledField, fhat: SampledField, t: float) -> SampledField:
+    """f_t(x) = t^{n/2} f(t x) by direct dual-space resampling of fhat = euclidean_ft(f).
 
     The band-limited interpolant of f is evaluated at the scaled nodes
     t*x_j (no interpolation; exact for fields whose dual support lies in
@@ -112,7 +138,7 @@ def _dilate(f: SampledField, t: float) -> SampledField:
     if t == 1.0:
         return f
     g = f.grid
-    vals = tensor_dft(euclidean_ft(f), [t * g.axis(i) for i in range(g.dim)], sign=+1.0)
+    vals = tensor_dft(fhat, [t * g.axis(i) for i in range(g.dim)], sign=+1.0)
     out = SampledField(g, vals * t ** (g.dim / 2.0))
     _require_decay(out, f"scale t={t} pushes mass onto the box boundary")
     return out
@@ -123,14 +149,17 @@ def dilation_sweep(f: SampledField, spec: MomentSpec, scales) -> list[Uncertaint
 
     ||f_t||_2 is scale invariant; the ratio equals 1 for Gaussians exactly
     when a = b = 1 and exceeds 1 otherwise, which makes the sweep a cheap
-    sharpness probe.
+    sharpness probe.  f is transformed once for every scale.
     """
-    norm_sq = _nonzero_norm_sq(f)
+    norm_sq = _memo(f, "norm_sq", lambda: _nonzero_norm_sq(f))
+    fhat = euclidean_ft(f)
     out = []
     for t in scales:
-        ft = _dilate(f, float(t))
+        ft = _dilate(f, fhat, float(t))
         ft_norm_sq = l2_norm_sq(ft)
         if abs(ft_norm_sq - norm_sq) > 1e-8 * norm_sq:
             raise DecayError(f"scale t={t} does not preserve the L2 norm on this grid")
-        out.append(_rn_terms(ft, spec, ft_norm_sq, euclidean_ft(ft)))
+        # close to ||f||^2 > 0, so it is the nonzero norm the terms read off ft
+        _memo(ft, "norm_sq", lambda: ft_norm_sq)
+        out.append(_rn_terms(ft, spec, ft, euclidean_ft))
     return out

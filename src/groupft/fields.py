@@ -196,6 +196,12 @@ def _memo(field, key, compute):
     Fields are frozen and their value arrays read-only, so a stored result
     cannot go stale, and it lives exactly as long as the field.  An
     exception is not stored: the next call computes (and raises) again.
+
+    Kept this way: motion's quadrature guard per lam_max, and the default
+    HS-profile of motion and nilpotent fields.  On R^n and R^n x K, floats
+    only: the nonzero ||f||^2 and the position moment per a on the field,
+    and the momentum moment per b on the object transformed (the field, or
+    the ProductField).  Motion's position moment per a, on its sampled field.
     """
     memo = field.__dict__.setdefault("_memo", {})
     if key not in memo:

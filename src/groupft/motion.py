@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, SpectralTailError, ZeroFieldError
-from .euclidean import UncertaintyTerms, _nonzero_norm_sq, _uncertainty_terms
+from .euclidean import UncertaintyTerms, _nonzero_norm_sq, _position_moment, _uncertainty_terms
 from .fields import (
     Grid,
     SampledField,
@@ -175,6 +175,12 @@ class LambdaGrid:
     lam_max: float
 
     def __post_init__(self):
+        nodes, weights = np.shape(self.nodes), np.shape(self.weights)
+        if len(nodes) != 1 or nodes[0] == 0 or weights != nodes:
+            raise ValueError(
+                f"lambda nodes have shape {nodes} and weights {weights}; "
+                "they need one shape (P,) with P >= 1"
+            )
         for a in (self.nodes, self.weights, self.lam_max):
             if not np.all((a > 0) & np.isfinite(a)):
                 raise ValueError("lambda nodes, weights and lam_max must be positive and finite")
@@ -431,8 +437,9 @@ def mn_uncertainty(
     kappa, and the lhs divisor 2 sqrt(c_2).  ``profile`` works as in
     ``mn_plancherel_ratio``: with None the HS-profile is computed once per
     field, lambda nodes and m_max, and shared by the Plancherel ratio and
-    every (a, b).
+    every (a, b).  The position moment per a is kept on ``f.sampled``.
     """
     kappa, norm_sq, profile = _kappa(f, lgrid, m_max, profile)
     momentum = _lambda_moment(lgrid, profile, 2.0 * spec.b) / kappa
-    return _uncertainty_terms(f.sampled, spec, norm_sq, momentum, 2.0 * np.sqrt(PLANCHEREL_C2))
+    position = _position_moment(f.sampled, spec.a)
+    return _uncertainty_terms(spec, norm_sq, position, momentum, 2.0 * np.sqrt(PLANCHEREL_C2))

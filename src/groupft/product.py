@@ -101,5 +101,8 @@ def product_plancherel_ratio(pf: ProductField) -> float:
 def product_uncertainty(pf: ProductField, spec) -> UncertaintyTerms:
     """Uncertainty product on R^n x K, assembled as on R^n from the dual field:
     momentum moment int |y|^{2b} sum_sigma d_sigma ||fhat(y, sigma)||_HS^2 dy,
-    lhs divisor 4 pi / n."""
-    return _rn_terms(pf.base, spec, _nonzero_norm_sq(pf.base), product_ft(pf))
+    lhs divisor 4 pi / n.  ||f||^2 and the position moment per a are kept on
+    pf.base (shared with rn_uncertainty there), the momentum moment per b on
+    pf, so product_ft runs once per distinct b; an error is raised again on
+    every call."""
+    return _rn_terms(pf.base, spec, pf, product_ft)

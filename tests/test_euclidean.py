@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+import groupft.euclidean as euc
 from groupft.errors import DecayError, MomentDivergenceError, ZeroFieldError
 from groupft.euclidean import dilation_sweep, rn_uncertainty
 from groupft.fields import (
     MomentSpec,
     SampledField,
+    euclidean_ft,
     gaussian_packet,
     l2_norm_sq,
     make_grid,
 )
 from groupft.fields import test_corpus as corpus
+
+from .test_motion import LATTICE, counting
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +111,11 @@ class TestDilationSweep:
 
     def test_each_norm_taken_once(self, monkeypatch):
         # the field's norm plus one per scale; the norm check and the terms share it
-        import groupft.euclidean as euc
-
         g = make_grid(2, [6.0, 6.0], [128, 128])
         f = corpus(g, 3, 1)[0]
         scales = (0.8, 0.9, 1.1, 1.25)
         spec = MomentSpec(1.0, 2.0)
-        direct = [rn_uncertainty(euc._dilate(f, t), spec) for t in scales]
+        direct = [rn_uncertainty(euc._dilate(f, euclidean_ft(f), t), spec) for t in scales]
         calls = []
 
         def counting(field):
@@ -124,6 +126,17 @@ class TestDilationSweep:
         assert dilation_sweep(f, spec, scales) == direct
         assert len(calls) == 5
 
+    def test_field_transformed_once(self, monkeypatch):
+        # f once for every scale, then each dilate once for its momentum moment
+        g = make_grid(2, [6.0, 6.0], [128, 128])
+        f = corpus(g, 3, 1)[0]
+        scales = (0.8, 0.9, 1.1, 1.25)
+        spec = MomentSpec(1.0, 2.0)
+        direct = [rn_uncertainty(euc._dilate(f, euclidean_ft(f), t), spec) for t in scales]
+        calls = counting(monkeypatch, euc, "euclidean_ft")
+        assert dilation_sweep(f, spec, scales) == direct
+        assert calls == {"euclidean_ft": 1 + len(scales)}
+
     def test_bad_scale_rejected(self, gauss1d):
         with pytest.raises(ValueError):
             dilation_sweep(gauss1d, MomentSpec(1.0, 1.0), [-1.0])
@@ -133,3 +146,50 @@ class TestDilationSweep:
         f = corpus(make_grid(2, [8.0, 8.0], [256, 256]), 0, 1)[0]
         with pytest.raises(DecayError, match="t=0.3 pushes mass onto the box boundary"):
             dilation_sweep(f, MomentSpec(1.0, 1.0), [0.3])
+
+
+class TestFieldMemo:
+    """||f||^2, the position moment per a and the momentum moment per b, once per field."""
+
+    def test_one_transform_per_distinct_b(self, grid1d, monkeypatch):
+        f = corpus(grid1d, 7, 1)[0]
+        calls = counting(monkeypatch, euc, "euclidean_ft", "checked_moment", "l2_norm_sq")
+        for spec in LATTICE:
+            rn_uncertainty(f, spec)
+        assert calls == {"euclidean_ft": 2, "checked_moment": 4, "l2_norm_sq": 1}
+        for spec in LATTICE:
+            rn_uncertainty(f, spec)
+        assert calls == {"euclidean_ft": 2, "checked_moment": 4, "l2_norm_sq": 1}
+
+    def test_terms_equal_a_fresh_field(self, grid1d):
+        f = corpus(grid1d, 7, 1)[0]
+        for _ in range(2):
+            for spec in LATTICE:
+                fresh = SampledField(grid1d, f.values.copy())
+                assert rn_uncertainty(f, spec) == rn_uncertainty(fresh, spec)
+
+    def test_errors_raised_on_every_call(self, grid1d, monkeypatch):
+        zero = SampledField(grid1d, np.zeros(grid1d.counts))
+        g = make_grid(1, [8.0], [256])
+        slow = SampledField(g, 1.0 / (1.0 + g.axis(0) ** 2) + 0j)
+        calls = counting(monkeypatch, euc, "l2_norm_sq", "checked_moment")
+        for _ in range(2):
+            with pytest.raises(ZeroFieldError):
+                rn_uncertainty(zero, LATTICE[0])
+        assert calls["l2_norm_sq"] == 2
+        for _ in range(2):
+            with pytest.raises(MomentDivergenceError, match="position"):
+                rn_uncertainty(slow, MomentSpec(2.0, 1.0))
+        # the converged momentum moment is kept; the diverging position moment is not
+        assert calls["checked_moment"] == 3
+
+    def test_frequency_reported_before_position(self, monkeypatch):
+        # the jump at 0 spreads the spectrum and 1/(1 + x^2) the samples: both moments diverge
+        g = make_grid(1, [8.0], [256])
+        x = g.axis(0)
+        both = SampledField(g, (x > 0) / (1.0 + x**2) + 0j)
+        calls = counting(monkeypatch, euc, "euclidean_ft")
+        for _ in range(2):
+            with pytest.raises(MomentDivergenceError, match="frequency"):
+                rn_uncertainty(both, MomentSpec(2.0, 1.0))
+        assert calls == {"euclidean_ft": 2}

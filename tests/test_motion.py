@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from groupft import motion
+from groupft import euclidean, motion
 from groupft.errors import AliasingError, DecayError, SpectralTailError, ZeroFieldError
 from groupft.fields import (
     MomentSpec,
@@ -215,6 +215,20 @@ class TestPlancherel:
             parts[part][3] = bad
         with pytest.raises(ValueError, match="positive and finite"):
             LambdaGrid(**parts)
+
+    @pytest.mark.parametrize(
+        "nodes, weights, shapes",
+        [(np.s_[:], np.s_[:1], r"\(20,\) and weights \(1,\)")]
+        + [(np.s_[:], np.s_[:-1], r"\(20,\) and weights \(19,\)")]
+        + [(np.s_[None, :], np.s_[None, :], r"\(1, 20\) and weights \(1, 20\)")]
+        + [(np.s_[:0], np.s_[:0], r"\(0,\) and weights \(0,\)")],
+        ids=["one-weight", "short-weights", "2-D", "empty"],
+    )
+    def test_lambda_grid_rejects_mismatched_shapes(self, nodes, weights, shapes):
+        # one weight used to broadcast over every node: kappa 1.957, not 2 pi, and no error
+        lg = make_lambda_grid(8, 2, 10)
+        with pytest.raises(ValueError, match="lambda nodes have shape " + shapes):
+            LambdaGrid(lg.nodes[nodes], lg.weights[weights], lg.lam_max)
 
     def test_tail_diagnostic(self, corpus):
         tiny = make_lambda_grid(0.5, panels=2, nodes_per_panel=4)
@@ -441,6 +455,14 @@ class TestFieldMemo:
         for spec in LATTICE:
             mn_uncertainty(f, spec, lg, 8)
         assert calls == {"mn_spectral_tail_fraction": 1, "mn_hs_profile": 1}
+
+    def test_one_position_moment_per_a(self, monkeypatch):
+        f, lg = self.small_member(), self.SMALL_LGRID
+        fresh = self.small_member()
+        calls = counting(monkeypatch, euclidean, "checked_moment")
+        terms = [mn_uncertainty(f, spec, lg, 8) for spec in LATTICE + LATTICE]
+        assert calls == {"checked_moment": 2}
+        assert terms[:4] == terms[4:] == [mn_uncertainty(fresh, s, lg, 8) for s in LATTICE]
 
     @pytest.mark.parametrize(
         "change, tails, profiles",

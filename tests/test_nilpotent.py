@@ -641,6 +641,23 @@ def test_one_default_profile_per_field(monkeypatch):
     assert calls == [(4, 16)]
 
 
+def test_position_moment_taken_at_every_point(monkeypatch):
+    # deliberately not kept on the field, unlike R^n and R^n x K (see nilpotent_uncertainty)
+    f, desc = fresh_t3_member(), nil.threadlike_descriptor(3)
+    calls = []
+    original = nil.checked_moment
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nil, "checked_moment", wrapper)
+    for _ in range(2):
+        for spec in LATTICE:
+            nil.nilpotent_uncertainty(f, desc, spec, 4, 16)
+    assert calls == [(2.0 * spec.a, "position") for spec in LATTICE] * 2
+
+
 @pytest.mark.parametrize(
     "change, recomputes",
     [("same", False), ("fresh field", True), ("descriptor object", True)]

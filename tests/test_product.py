@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import groupft.euclidean as euc
+import groupft.product as product
 from groupft.compact import CircleDual, builtin_group
 from groupft.errors import MomentDivergenceError, ZeroFieldError
+from groupft.euclidean import rn_uncertainty
 from groupft.fields import (
     MomentSpec,
     SampledField,
@@ -23,6 +26,7 @@ from groupft.product import (
 )
 
 from .oracles import group_irreps, peter_weyl_blocks
+from .test_motion import LATTICE, counting
 
 GROUPS = {
     "s3": lambda: builtin_group("s3"),
@@ -175,6 +179,51 @@ class TestProductUncertainty:
                     1.0 - 1.0 / b
                 )
                 assert lhs <= rhs * (1.0 + 1e-8)
+
+
+class TestFieldMemo:
+    """||f||^2 and the position moment kept on pf.base, the momentum moment on pf."""
+
+    def test_one_transform_per_distinct_b(self, grid1d, s3, monkeypatch):
+        pf = product_corpus(grid1d, s3, 13, 1)[0]
+        transforms = counting(monkeypatch, product, "product_ft")
+        moments = counting(monkeypatch, euc, "checked_moment", "l2_norm_sq")
+        for _ in range(2):
+            for spec in LATTICE:
+                product_uncertainty(pf, spec)
+            assert transforms == {"product_ft": 2}
+            assert moments == {"checked_moment": 4, "l2_norm_sq": 1}
+
+    def test_terms_equal_a_fresh_field(self, grid1d, s3):
+        pf = product_corpus(grid1d, s3, 13, 1)[0]
+        for _ in range(2):
+            for spec in LATTICE:
+                fresh = make_product_field(grid1d, s3, pf.base.values.copy())
+                assert product_uncertainty(pf, spec) == product_uncertainty(fresh, spec)
+
+    def test_errors_raised_on_every_call(self, grid1d, s3):
+        zero = make_product_field(grid1d, s3, np.zeros((1024, 6)))
+        box = (np.abs(grid1d.axis(0)) < 1.0).astype(float)
+        jump = make_product_field(grid1d, s3, box[:, None] * np.arange(1.0, 7.0))
+        for _ in range(2):
+            with pytest.raises(ZeroFieldError):
+                product_uncertainty(zero, LATTICE[0])
+            with pytest.raises(MomentDivergenceError, match="frequency"):
+                product_uncertainty(jump, LATTICE[0])
+
+    def test_base_and_product_keep_separate_momentum(self, grid1d, s3, monkeypatch):
+        pf = product_corpus(grid1d, s3, 13, 1)[0]
+        spec = MomentSpec(1.0, 2.0)
+        fresh = make_product_field(grid1d, s3, pf.base.values.copy())
+        transforms = counting(monkeypatch, product, "product_ft")
+        base_transforms = counting(monkeypatch, euc, "euclidean_ft")
+        on_pf = product_uncertainty(pf, spec)
+        on_base = rn_uncertainty(pf.base, spec)
+        # equal by Plancherel on K, so only the count shows that the base's own transform ran
+        assert transforms == {"product_ft": 1} and base_transforms == {"euclidean_ft": 1}
+        assert on_pf == product_uncertainty(fresh, spec)
+        assert on_base == rn_uncertainty(fresh.base, spec)
+        assert on_base.position_term == on_pf.position_term
 
 
 class TestValidation:
