@@ -201,7 +201,11 @@ def _memo(field, key, compute):
     HS-profile of motion and nilpotent fields.  On R^n and R^n x K, floats
     only: the nonzero ||f||^2 and the position moment per a on the field,
     and the momentum moment per b on the object transformed (the field, or
-    the ProductField).  Motion's position moment per a, on its sampled field.
+    the ProductField).  On a motion field, its circle-mode decomposition
+    (the signed modes that carry mass and their planes c_m(z), one small
+    field, 64 KB per mode at 64^2 samples), from which the guard's norm,
+    the spectral tail and the HS-profile rows are read; the position moment
+    per a is kept on those planes.
     """
     memo = field.__dict__.setdefault("_memo", {})
     if key not in memo:
@@ -247,7 +251,7 @@ def _group_density(f: SampledField) -> np.ndarray:
     """|f|^2 with the group axis (if any) summed out against its weights."""
     dens = np.abs(f.values) ** 2
     if f.has_group_axis:
-        dens = np.tensordot(dens, f.group_weights, axes=(-1, 0))
+        dens = dens @ f.group_weights  # tensordot would run a one-column GEMM
     return dens
 
 

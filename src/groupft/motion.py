@@ -22,15 +22,19 @@ the theta-coefficient rows against them: one matmul over z2, a reduction
 over z1 and one FFT over the circle grid; profiles stack the active rows of
 all their fields so the factors are built once per lambda.
 
-Both the HS-profiles and the spectral-tail guard work on circle modes
-c_m(z), one FFT over the uniform circle grid, and skip the modes that carry
-no mass by one rule (``_carrying_modes``: norm below 1e-14 of the peak over
-all circle modes, before the profiles keep |m| <= M).
-Parseval over the circle grid, sum_k |F(xi, theta_k)|^2 / n_theta =
-sum_m |C_m(xi)|^2, lets the tail transform only the carrying mode planes
-instead of every circle slice.  The guards (norm, boundary decay, spectral
-tail) run once per field and lam_max, and are kept on the field
-(``fields._memo``) for its Plancherel ratio and every lattice point.
+The checks read a field through its circle modes c_m(z), one FFT over the
+uniform circle grid per field (``_circle_modes``, kept on the field by
+``fields._memo``).  It keeps the modes that carry mass by one rule
+(``_carrying_modes``: norm below 1e-14 of the peak over all circle modes is
+dropped), as one small field of planes c_m(z) with unit weights.  Parseval
+over the circle grid, sum_k |f(z, theta_k)|^2 / n_theta = sum_m |c_m(z)|^2,
+gives that field f's norm and spatial moments, so the guard's norm and the
+position moments are read off it; the spectral tail transforms only its
+planes instead of every circle slice; the HS-profiles take its rows with
+|m| <= M.  Only the boundary-decay guard, and ``mn_ft``, which keeps every
+row |m| <= M, read the full samples.  The guards (norm, boundary decay,
+spectral tail) run once per field and lam_max, and are kept on the field for
+its Plancherel ratio and every lattice point.
 
 The formulas keep the general-n shape (weights lambda^{n-1}, constant
 c_n = 2/(2^{n/2} Gamma(n/2))) specialised to n = 2, where the small
@@ -216,13 +220,37 @@ def _carrying_modes(coef: np.ndarray) -> np.ndarray:
     """Mask over the last axis of the circle modes whose coefficient carries mass.
 
     Modes below 1e-14 of the peak norm contribute < 1e-28 relative mass and
-    are skipped by the HS-profiles and the spectral tail alike; both pass
-    every circle mode, so round-off is judged against the field's own peak.
+    are dropped by ``_circle_modes``, which passes every circle mode, so
+    round-off is judged against the field's own peak.
     """
     parts = coef.reshape(-1, coef.shape[-1]).view(np.float64)  # (re, im) of each mode
     sq = np.einsum("ik,ik->k", parts, parts)
     norms = np.sqrt(sq[0::2] + sq[1::2])
     return norms > 1e-14 * max(norms.max(), 1e-300)
+
+
+def _circle_modes(f: MotionField) -> tuple[np.ndarray, SampledField | None]:
+    """(m, planes): the signed circle modes m that carry mass, ascending, and
+    their planes c_m(z) as one field with unit weights (None when no mode
+    carries mass, which is the zero field).
+
+    One circle DFT per field, kept on it (``fields._memo``).  The modes
+    dropped by ``_carrying_modes`` hold < n_theta 1e-28 of the relative mass,
+    so by Parseval the planes have f's norm and spatial moments.  They take
+    64 KB per mode at 64^2 samples.
+    """
+
+    def compute():
+        dft = _circle_dft(f)
+        n_theta = dft.shape[-1]
+        modes = np.arange(-(n_theta // 2), n_theta - n_theta // 2)
+        modes = modes[_carrying_modes(dft)[modes % n_theta]]
+        if modes.size == 0:
+            return modes, None
+        planes = np.take(dft, modes % n_theta, axis=-1) / n_theta
+        return modes, SampledField(f.grid, planes, np.ones(modes.size))
+
+    return _memo(f, "circle_modes", compute)
 
 
 def _check_truncation(f: MotionField, lam: float, m_max: int) -> None:
@@ -286,14 +314,20 @@ def mn_hs_norm_sq(op: OperatorMatrix) -> float:
     return float(np.sum(np.abs(op.matrix) ** 2))
 
 
-def _hs_profiles(fields: list, lambdas: np.ndarray, m_max: int) -> np.ndarray:
+def _hs_profiles(fields: list, lambdas, m_max: int) -> np.ndarray:
     """HS-norm profiles, shape (fields, lambdas), through one stacked row set.
 
-    The active rows of all fields are stacked, so each lambda's plane-wave
-    factors are built once and shared across fields.
+    The rows |m| <= m_max of all fields' ``_circle_modes`` are stacked, so
+    each lambda's plane-wave factors are built once and shared across fields.
     """
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.ndim != 1 or lambdas.size == 0:
+        raise ValueError(
+            f"lambdas have shape {lambdas.shape}; they need one shape (P,) with P >= 1"
+        )
+    if not np.all((lambdas > 0) & np.isfinite(lambdas)):
+        raise ValueError("lambdas must be positive and finite")
     grid, n_theta = fields[0].grid, fields[0].theta_count
-    modes = np.arange(-m_max, m_max + 1)
     coefs, rowsets = [], []
     for j, f in enumerate(fields):
         if f.grid != grid or f.theta_count != n_theta:
@@ -302,11 +336,11 @@ def _hs_profiles(fields: list, lambdas: np.ndarray, m_max: int) -> np.ndarray:
                 f"fields[0] on {grid} x {n_theta}"
             )
         _check_truncation(f, float(lambdas.min()), m_max)
-        dft = _circle_dft(f)  # the rule sees every mode, as in the tail guard
-        kept = modes[_carrying_modes(dft)[modes % n_theta]]
-        coefs.append(_mode_rows(dft, kept))
-        rowsets.append(kept)
-        del dft  # the largest array here: hold one field's at a time
+        modes, planes = _circle_modes(f)
+        kept = np.abs(modes) <= m_max
+        rowsets.append(modes[kept])
+        if planes is not None:
+            coefs.append(np.moveaxis(planes.values[..., kept], -1, 0))
     rows = np.concatenate(rowsets)
     if rows.size == 0:
         return np.zeros((len(fields), lambdas.size))
@@ -317,8 +351,11 @@ def _hs_profiles(fields: list, lambdas: np.ndarray, m_max: int) -> np.ndarray:
 
 
 def mn_hs_profile(f: MotionField, lambdas, m_max: int) -> np.ndarray:
-    """||fhat(lambda)||_HS^2 over a list of lambda values."""
-    return _hs_profiles([f], np.asarray(lambdas, dtype=float), m_max)[0]
+    """||fhat(lambda)||_HS^2 over a list of lambda values.
+
+    Raises ValueError unless ``lambdas`` is 1-D, non-empty, finite and > 0.
+    """
+    return _hs_profiles([f], lambdas, m_max)[0]
 
 
 def mn_hs_profiles(fields, lambdas, m_max: int) -> np.ndarray:
@@ -326,13 +363,14 @@ def mn_hs_profiles(fields, lambdas, m_max: int) -> np.ndarray:
 
     The plane-wave factors per lambda are built once and shared across
     fields, which is the dominant saving in corpus sweeps.  Raises
-    ValueError for an empty field list or for fields whose spatial grid or
-    circle sample count differs from the first field's.
+    ValueError for an empty field list, for fields whose spatial grid or
+    circle sample count differs from the first field's, and unless
+    ``lambdas`` is 1-D, non-empty, finite and > 0.
     """
     fields = list(fields)
     if not fields:
         raise ValueError("mn_hs_profiles needs at least one field")
-    return _hs_profiles(fields, np.asarray(lambdas, dtype=float), m_max)
+    return _hs_profiles(fields, lambdas, m_max)
 
 
 def mn_spectral_tail_fraction(f: MotionField, lam_max: float) -> float:
@@ -340,27 +378,29 @@ def mn_spectral_tail_fraction(f: MotionField, lam_max: float) -> float:
 
     The density sum_k |fhat(xi, theta_k)|^2 / n_theta is taken, by Parseval
     over the uniform circle grid, as sum_m |C_m(xi)|^2 with C_m the
-    Euclidean transform of the circle mode c_m(z).  Only the modes that
-    carry mass (the HS-profiles' rule) are transformed, so a field with a
-    few circle modes costs a few planar FFTs.  The zero field gives 0.
+    Euclidean transform of the circle mode c_m(z).  Only the planes of
+    ``_circle_modes`` (the modes that carry mass, computed once per field
+    and shared with the norm, the position moments and the HS-profiles) are
+    transformed, so a field with a few circle modes costs a few planar
+    FFTs.  The zero field gives 0.
     """
-    coef = _circle_dft(f)  # n_theta c_m: the fraction and the mode rule are scale free
-    keep = _carrying_modes(coef)
-    if not keep.any():
+    planes = _circle_modes(f)[1]
+    if planes is None:
         return 0.0
-    if not keep.all():  # drop the massless planes; rebinding frees the full array
-        coef = np.compress(keep, coef, axis=-1)
-    planes = euclidean_ft(SampledField(f.grid, coef, np.ones(coef.shape[-1])))
-    parts = planes.values.view(np.float64)
+    fhat = euclidean_ft(planes)
+    parts = fhat.values.view(np.float64)
     dens = np.einsum("...k,...k->...", parts, parts)
     total = float(dens.sum())
-    r2 = planes.grid.radius_sq()
+    r2 = fhat.grid.radius_sq()
     cut = (lam_max / (2.0 * np.pi)) ** 2
     return float(dens[r2 > cut].sum()) / total
 
 
 def _quadrature_guard(f: MotionField, lgrid: LambdaGrid) -> float:
-    norm_sq = _nonzero_norm_sq(f.sampled)
+    planes = _circle_modes(f)[1]
+    if planes is None:  # no circle mode carries mass
+        raise ZeroFieldError("ratio undefined for the zero field")
+    norm_sq = _nonzero_norm_sq(planes)
     _require_decay(f.sampled, "field has not decayed at the spatial box boundary")
     tail = mn_spectral_tail_fraction(f, lgrid.lam_max)
     if tail > SPECTRAL_TAIL_BUDGET:
@@ -437,9 +477,10 @@ def mn_uncertainty(
     kappa, and the lhs divisor 2 sqrt(c_2).  ``profile`` works as in
     ``mn_plancherel_ratio``: with None the HS-profile is computed once per
     field, lambda nodes and m_max, and shared by the Plancherel ratio and
-    every (a, b).  The position moment per a is kept on ``f.sampled``.
+    every (a, b).  The position moment per a is read off, and kept on, the
+    field's circle-mode planes (``_circle_modes``), which have its moments.
     """
     kappa, norm_sq, profile = _kappa(f, lgrid, m_max, profile)
     momentum = _lambda_moment(lgrid, profile, 2.0 * spec.b) / kappa
-    position = _position_moment(f.sampled, spec.a)
+    position = _position_moment(_circle_modes(f)[1], spec.a)
     return _uncertainty_terms(spec, norm_sq, position, momentum, 2.0 * np.sqrt(PLANCHEREL_C2))

@@ -155,6 +155,25 @@ class TestHSNorm:
         with pytest.raises(ValueError, match="fields\\[1\\]"):
             mn_hs_profiles([corpus[0], coarser], [1.0], 4)
 
+    @pytest.mark.parametrize(
+        "lambdas, match",
+        [
+            ([np.nan], "positive and finite"),
+            ([np.inf], "positive and finite"),
+            ([1.0, np.nan], "positive and finite"),
+            ([-1.0], "positive and finite"),
+            ([], r"shape \(0,\)"),
+            ([[1.0, 2.0]], r"shape \(1, 2\)"),
+        ],
+        ids=["nan", "inf", "trailing-nan", "negative", "empty", "2-d"],
+    )
+    def test_profiles_reject_a_bad_lambda_list(self, corpus, lambdas, match):
+        # [nan] read a NaN profile, [] and [[1, 2]] raised numpy's own errors
+        with pytest.raises(ValueError, match=match):
+            mn_hs_profile(corpus[0], lambdas, 16)
+        with pytest.raises(ValueError, match=match):
+            mn_hs_profiles(corpus[:2], lambdas, 16)
+
     def test_truncation_monotone_and_cauchy(self, corpus):
         f = corpus[0]
         vals = [mn_hs_profile(f, [3.0], m)[0] for m in (4, 8, 16, 32)]
@@ -352,6 +371,13 @@ def slice_tail_fraction(f, lam_max):
     return float(dens[outside].sum() / dens.sum())
 
 
+def two_mode_field(grid, n_theta=64):
+    """Gaussian packet times e^{i theta} + e^{20 i theta}: half the mass lies beyond M = 16."""
+    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    profile = np.exp(1j * th) + np.exp(20j * th)
+    return motion_field(grid, gaussian_packet(grid).values[..., None] * profile)
+
+
 def all_modes_field(grid, n_theta=128):
     """Gaussian envelope times a random circle profile: every circle mode carries mass."""
     rng = np.random.default_rng(3)
@@ -485,6 +511,47 @@ class TestFieldMemo:
         calls = counting(monkeypatch, motion, "mn_spectral_tail_fraction", "mn_hs_profile")
         mn_uncertainty(f, LATTICE[0], lg, m)
         assert calls == {"mn_spectral_tail_fraction": tails, "mn_hs_profile": profiles}
+
+    def test_one_circle_dft_per_field(self, monkeypatch):
+        lg = self.SMALL_LGRID
+        shared = [self.small_member(), motion_corpus(self.SMALL, 32, 6, 1)[0]]
+        calls = counting(monkeypatch, motion, "_circle_dft")
+        for f, profile in zip(shared, mn_hs_profiles(shared, lg.nodes, 8)):
+            mn_plancherel_ratio(f, lg, 8, profile=profile)
+            for spec in LATTICE:
+                mn_uncertainty(f, spec, lg, 8, profile=profile)
+        assert calls == {"_circle_dft": 2}
+        f = self.small_member()  # the default path: guard and profile
+        mn_plancherel_ratio(f, lg, 8)
+        for spec in LATTICE:
+            mn_uncertainty(f, spec, lg, 8)
+        assert calls == {"_circle_dft": 3}
+
+    @pytest.mark.parametrize("member", [0, 1, 2, 3, "beyond-M"])
+    def test_circle_modes_have_the_norm_and_position_moments(self, grid, corpus, member):
+        f = two_mode_field(grid) if member == "beyond-M" else corpus[member]
+        planes = motion._circle_modes(f)[1]
+        norm_sq = l2_norm_sq(f.sampled)
+        assert euclidean._nonzero_norm_sq(planes) == pytest.approx(norm_sq, rel=1e-14, abs=0.0)
+        for a in (1.0, 2.0):
+            want = euclidean.checked_moment(f.sampled, 2.0 * a, "position")
+            got = euclidean._position_moment(planes, a)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_a_mode_beyond_the_truncation_counts_in_the_norm(self, grid, lgrid):
+        # the m = 20 plane holds half the mass, which the M = 16 profile cannot see
+        f = two_mode_field(grid)
+        assert list(motion._circle_modes(f)[0]) == [1, 20]
+        kappa = mn_plancherel_ratio(f, lgrid, 16)
+        assert kappa / (2.0 * np.pi) == pytest.approx(0.5, rel=1e-6)
+
+    def test_a_zero_field_raises_on_every_call(self, grid, lgrid):
+        f = motion_field(grid, np.zeros(grid.counts + (16,)))
+        for call in GUARDED_CALLS + GUARDED_CALLS:
+            with pytest.raises(ZeroFieldError, match="zero field"):
+                call(f, lgrid, 4)
+        assert np.all(mn_hs_profile(f, lgrid.nodes, 4) == 0)
+        assert mn_spectral_tail_fraction(f, lgrid.lam_max) == 0.0
 
     def test_a_failed_guard_raises_on_every_call(self, grid, lgrid, monkeypatch):
         f = radial_field(grid, n_theta=16, widths=4.0)

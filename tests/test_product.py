@@ -11,11 +11,13 @@ from groupft.euclidean import rn_uncertainty
 from groupft.fields import (
     MomentSpec,
     SampledField,
+    _group_density,
     euclidean_ft,
     gaussian_packet,
     l2_norm_sq,
     make_grid,
 )
+from groupft.motion import motion_corpus
 from groupft.product import (
     ProductField,
     make_product_field,
@@ -224,6 +226,15 @@ class TestFieldMemo:
         assert on_pf == product_uncertainty(fresh, spec)
         assert on_base == rn_uncertainty(fresh.base, spec)
         assert on_base.position_term == on_pf.position_term
+
+
+def test_group_density_matches_tensordot():
+    # the group axis is summed by a matrix-vector product; pin its bits
+    pf = product_corpus(make_grid(2, [8.0, 8.0], [128, 128]), builtin_group("s3"), 0, 1)[0]
+    member = motion_corpus(make_grid(2, [6.0, 6.0], [64, 64]), 128, 0, 1)[0].sampled
+    for f in (member, pf.base, product_ft(pf)):
+        dens = np.abs(f.values) ** 2
+        assert np.array_equal(_group_density(f), np.tensordot(dens, f.group_weights, axes=(-1, 0)))
 
 
 class TestValidation:
