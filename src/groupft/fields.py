@@ -201,11 +201,8 @@ def _memo(field, key, compute):
     HS-profile of motion and nilpotent fields.  On R^n and R^n x K, floats
     only: the nonzero ||f||^2 and the position moment per a on the field,
     and the momentum moment per b on the object transformed (the field, or
-    the ProductField).  On a motion field, its circle-mode decomposition
-    (the signed modes that carry mass and their planes c_m(z), one small
-    field, 64 KB per mode at 64^2 samples), from which the guard's norm,
-    the spectral tail and the HS-profile rows are read; the position moment
-    per a is kept on those planes.
+    the ProductField).  A motion field's position moment per a is kept on
+    its planes.
     """
     memo = field.__dict__.setdefault("_memo", {})
     if key not in memo:

@@ -22,19 +22,15 @@ the theta-coefficient rows against them: one matmul over z2, a reduction
 over z1 and one FFT over the circle grid; profiles stack the active rows of
 all their fields so the factors are built once per lambda.
 
-The checks read a field through its circle modes c_m(z), one FFT over the
-uniform circle grid per field (``_circle_modes``, kept on the field by
-``fields._memo``).  It keeps the modes that carry mass by one rule
-(``_carrying_modes``: norm below 1e-14 of the peak over all circle modes is
-dropped), as one small field of planes c_m(z) with unit weights.  Parseval
-over the circle grid, sum_k |f(z, theta_k)|^2 / n_theta = sum_m |c_m(z)|^2,
-gives that field f's norm and spatial moments, so the guard's norm and the
-position moments are read off it; the spectral tail transforms only its
-planes instead of every circle slice; the HS-profiles take its rows with
-|m| <= M.  Only the boundary-decay guard, and ``mn_ft``, which keeps every
-row |m| <= M, read the full samples.  The guards (norm, boundary decay,
-spectral tail) run once per field and lam_max, and are kept on the field for
-its Plancherel ratio and every lattice point.
+A ``MotionField`` holds the circle modes of f(z, theta_k) = sum_m c_m(z)
+e^{i m theta_k}: the signed m that carry mass and their planes c_m(z), one
+small field with unit weights, which ``motion_field`` takes from samples by
+one circle DFT and ``motion_corpus`` builds directly.  By Parseval over the
+circle grid the planes have f's norm and spatial moments; the spectral tail
+transforms them, the HS-profiles and ``mn_ft`` take their rows |m| <= M,
+and the decay guard bounds |f| on the box faces by sum_m |c_m(z)|: no check
+builds the samples.  The guards (norm, boundary decay, spectral tail) run
+once per field and lam_max, and are kept for its Plancherel ratio and lattice.
 
 The formulas keep the general-n shape (weights lambda^{n-1}, constant
 c_n = 2/(2^{n/2} Gamma(n/2))) specialised to n = 2, where the small
@@ -53,15 +49,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, SpectralTailError, ZeroFieldError
+from .errors import AliasingError, DecayError, SpectralTailError, ZeroFieldError
 from .euclidean import UncertaintyTerms, _nonzero_norm_sq, _position_moment, _uncertainty_terms
 from .fields import (
+    _BOUNDARY_DECAY_LIMIT,
     Grid,
     SampledField,
     _axis_phase,
     _gauss_rule,
     _memo,
-    _require_decay,
     _unit_norm,
     euclidean_ft,
     gaussian_packet,
@@ -90,42 +86,77 @@ PLANCHEREL_C2 = 1.0
 SPECTRAL_TAIL_BUDGET = 0.01
 
 
+def _require_int(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= low (a bool is none)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is finite and > 0 (a bool is not)."""
+    if isinstance(value, bool) or not (value > 0 and np.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MotionField:
-    """Samples f(z, theta_j) on a 2-D spatial grid times a uniform circle grid."""
+    """f(z, theta_k) = sum_m c_m(z) e^{i m theta_k}, theta_k = 2 pi k / theta_count,
+    on a 2-D spatial grid: the signed modes m, ascending residues in
+    [-(theta_count // 2), theta_count - theta_count // 2), and their planes
+    c_m(z), one trailing entry per mode with unit weights (None for no mode).
+    """
 
-    sampled: SampledField
+    grid: Grid
+    theta_count: int
+    modes: np.ndarray
+    planes: SampledField | None
 
     def __post_init__(self):
-        if self.sampled.grid.dim != 2:
-            raise ValueError("motion-group fields need a 2-D spatial grid")
-        if not self.sampled.has_group_axis:
-            raise ValueError("motion-group fields need a circle axis")
-        w = self.sampled.group_weights
-        # the circle-mode transforms below are exact only for uniform weights
-        if np.any(np.abs(w * w.size - 1.0) > 1e-15):
-            raise ValueError("motion-group fields need uniform circle weights 1/n_theta")
+        n, modes, planes = self.theta_count, np.array(self.modes), self.planes
+        _require_int("theta_count", n, 2)
+        lo, hi = -(n // 2), n - n // 2
+        if (
+            self.grid.dim != 2
+            or modes.dtype.kind != "i"
+            # ascending distinct residues are their own sorted, deduplicated in-range part
+            or not np.array_equal(modes, np.unique(modes[(lo <= modes) & (modes < hi)]))
+            or (planes is None) != (modes.size == 0)
+            or planes is not None and planes.grid != self.grid
+            or planes is not None and not np.array_equal(planes.group_weights, np.ones(modes.size))
+        ):
+            raise ValueError(
+                "a motion field needs a 2-D grid, ascending residues mod theta_count as "
+                f"modes (got {self.modes!r}), and their planes on that grid with unit weights"
+            )
+        modes.setflags(write=False)
+        object.__setattr__(self, "modes", modes)
 
-    @property
-    def grid(self) -> Grid:
-        return self.sampled.grid
 
-    @property
-    def theta_count(self) -> int:
-        return self.sampled.values.shape[-1]
+def _carrying_modes(coef: np.ndarray) -> np.ndarray:
+    """Mask over the last axis of the circle modes whose plane carries mass.
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.sampled.values
+    Modes below 1e-14 of the peak norm contribute < 1e-28 relative mass, so
+    dropping them leaves f's norm and spatial moments; round-off is judged
+    against the field's own peak.
+    """
+    parts = coef.reshape(-1, coef.shape[-1]).view(np.float64)  # (re, im) of each mode
+    sq = np.einsum("ik,ik->k", parts, parts)
+    norms = np.sqrt(sq[0::2] + sq[1::2])
+    return norms > 1e-14 * max(norms.max(), 1e-300)
 
 
 def motion_field(grid: Grid, values) -> MotionField:
-    values = np.asarray(values)
-    n_theta = values.shape[-1]
-    if n_theta < 2:
-        raise ValueError("need at least 2 circle samples")
-    weights = np.full(n_theta, 1.0 / n_theta)
-    return MotionField(SampledField(grid, values, weights))
+    """The field with finite samples values[..., k] = f(z, 2 pi k / n_theta), shape
+    grid.counts + (n_theta,), n_theta >= 2 (ValueError otherwise): one circle
+    DFT, c_m(z) = sum_k f(z, theta_k) e^{-i m theta_k} / n_theta at the signed
+    residues m, of which the modes that carry mass are held."""
+    n_theta = np.shape(values)[-1]
+    samples = SampledField(grid, values, np.full(n_theta, 1.0 / n_theta))  # shape, finiteness
+    modes = np.arange(-(n_theta // 2), n_theta - n_theta // 2)
+    coef = np.take(np.fft.fft(samples.values, axis=-1), modes % n_theta, axis=-1) / n_theta
+    kept = _carrying_modes(coef)
+    planes = SampledField(grid, coef[..., kept], np.ones(kept.sum())) if kept.any() else None
+    return MotionField(grid, n_theta, modes[kept], planes)
 
 
 def motion_corpus(grid: Grid, n_theta: int, seed: int, count: int) -> list[MotionField]:
@@ -133,21 +164,27 @@ def motion_corpus(grid: Grid, n_theta: int, seed: int, count: int) -> list[Motio
 
     Circle degree stays <= 4 and spatial modulation small, so operator
     truncations M >= 16 capture the Hilbert-Schmidt mass to well below
-    the test tolerances.
+    the test tolerances.  The planes are built directly, each drawn mode folded
+    to its signed residue mod n_theta and packets on one mode summed.  Raises
+    ValueError unless n_theta is an integer >= 2 and count one >= 0.
     """
+    _require_int("n_theta", n_theta, 2)
+    _require_int("count", count, 0)
     rng = np.random.default_rng(seed)
     out = []
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     for _ in range(count):
-        vals = np.zeros(tuple(grid.counts) + (n_theta,), dtype=np.complex128)
+        planes = {}
         for _ in range(2):
             widths = rng.uniform(0.8, 1.1, size=2)
             centers = rng.uniform(-0.6, 0.6, size=2)
             mods = rng.uniform(-0.35, 0.35, size=2)
-            mode = int(rng.integers(-4, 5))
-            g = gaussian_packet(grid, centers, widths, mods)
-            vals += g.values[..., None] * np.exp(1j * mode * thetas)
-        out.append(MotionField(_unit_norm(motion_field(grid, vals).sampled)))
+            mode = (int(rng.integers(-4, 5)) + n_theta // 2) % n_theta - n_theta // 2
+            g = gaussian_packet(grid, centers, widths, mods).values
+            planes[mode] = planes[mode] + g if mode in planes else g
+        modes = np.array(sorted(planes))
+        coef = np.stack([planes[m] for m in modes], axis=-1)
+        unit = _unit_norm(SampledField(grid, coef, np.ones(modes.size)))
+        out.append(MotionField(grid, n_theta, modes, unit))
     return out
 
 
@@ -196,68 +233,16 @@ def make_lambda_grid(lam_max: float, panels: int = 8, nodes_per_panel: int = 12)
     Raises ValueError unless lam_max is finite and > 0 and panels and
     nodes_per_panel are integers >= 1 (a bool is none).
     """
-    if not (lam_max > 0 and np.isfinite(lam_max)):
-        raise ValueError(f"lam_max must be finite and > 0, got {lam_max!r}")
-    for name, count in (("panels", panels), ("nodes_per_panel", nodes_per_panel)):
-        if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    _require_positive("lam_max", lam_max)
+    _require_int("panels", panels, 1)
+    _require_int("nodes_per_panel", nodes_per_panel, 1)
     edges = np.linspace(0.0, lam_max, panels + 1)
     return LambdaGrid(*_gauss_rule(zip(edges[:-1], edges[1:]), nodes_per_panel), lam_max)
 
 
-def _circle_dft(f: MotionField) -> np.ndarray:
-    """n_theta c_m(z) = sum_k f(z, theta_k) e^{-i m theta_k} for every m, in FFT order."""
-    return np.fft.fft(f.values, axis=-1)
-
-
-def _mode_rows(dft: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Circle modes c_m(z), m in ``modes``, stacked first, from a ``_circle_dft``."""
-    n_theta = dft.shape[-1]
-    return np.moveaxis(np.take(dft, modes % n_theta, axis=-1) / n_theta, -1, 0)
-
-
-def _carrying_modes(coef: np.ndarray) -> np.ndarray:
-    """Mask over the last axis of the circle modes whose coefficient carries mass.
-
-    Modes below 1e-14 of the peak norm contribute < 1e-28 relative mass and
-    are dropped by ``_circle_modes``, which passes every circle mode, so
-    round-off is judged against the field's own peak.
-    """
-    parts = coef.reshape(-1, coef.shape[-1]).view(np.float64)  # (re, im) of each mode
-    sq = np.einsum("ik,ik->k", parts, parts)
-    norms = np.sqrt(sq[0::2] + sq[1::2])
-    return norms > 1e-14 * max(norms.max(), 1e-300)
-
-
-def _circle_modes(f: MotionField) -> tuple[np.ndarray, SampledField | None]:
-    """(m, planes): the signed circle modes m that carry mass, ascending, and
-    their planes c_m(z) as one field with unit weights (None when no mode
-    carries mass, which is the zero field).
-
-    One circle DFT per field, kept on it (``fields._memo``).  The modes
-    dropped by ``_carrying_modes`` hold < n_theta 1e-28 of the relative mass,
-    so by Parseval the planes have f's norm and spatial moments.  They take
-    64 KB per mode at 64^2 samples.
-    """
-
-    def compute():
-        dft = _circle_dft(f)
-        n_theta = dft.shape[-1]
-        modes = np.arange(-(n_theta // 2), n_theta - n_theta // 2)
-        modes = modes[_carrying_modes(dft)[modes % n_theta]]
-        if modes.size == 0:
-            return modes, None
-        planes = np.take(dft, modes % n_theta, axis=-1) / n_theta
-        return modes, SampledField(f.grid, planes, np.ones(modes.size))
-
-    return _memo(f, "circle_modes", compute)
-
-
 def _check_truncation(f: MotionField, lam: float, m_max: int) -> None:
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    _require_positive("lambda", lam)
+    _require_int("m_max", m_max, 1)
     if 2 * m_max + 2 > f.theta_count:
         raise AliasingError(
             f"truncation M={m_max} needs at least {2 * m_max + 2} circle samples, "
@@ -300,13 +285,21 @@ def _operator_rows(
     return out * (grid.cell_volume / n_theta)
 
 
+def _rows(f: MotionField, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, c_m(z) stacked first) for the held modes |m| <= m_max."""
+    if f.planes is None:
+        return f.modes, np.zeros((0,) + f.grid.counts, dtype=np.complex128)
+    kept = np.abs(f.modes) <= m_max
+    return f.modes[kept], np.moveaxis(f.planes.values[..., kept], -1, 0)
+
+
 def mn_ft(f: MotionField, lam: float, m_max: int) -> OperatorMatrix:
-    """Transform operator at one lambda, truncated to modes |m| <= m_max."""
+    """Transform operator at one lambda, |m|, |m'| <= m_max; rows of modes not held are 0."""
     _check_truncation(f, lam, m_max)
-    rows = np.arange(-m_max, m_max + 1)
-    coef = _mode_rows(_circle_dft(f), rows)
-    mat = _operator_rows(f.grid, f.theta_count, coef, rows, [lam], m_max)
-    return OperatorMatrix(lam, m_max, mat[0])
+    rows, coef = _rows(f, m_max)
+    mat = np.zeros((2 * m_max + 1, 2 * m_max + 1), dtype=np.complex128)
+    mat[rows + m_max] = _operator_rows(f.grid, f.theta_count, coef, rows, [lam], m_max)[0]
+    return OperatorMatrix(lam, m_max, mat)
 
 
 def mn_hs_norm_sq(op: OperatorMatrix) -> float:
@@ -317,8 +310,8 @@ def mn_hs_norm_sq(op: OperatorMatrix) -> float:
 def _hs_profiles(fields: list, lambdas, m_max: int) -> np.ndarray:
     """HS-norm profiles, shape (fields, lambdas), through one stacked row set.
 
-    The rows |m| <= m_max of all fields' ``_circle_modes`` are stacked, so
-    each lambda's plane-wave factors are built once and shared across fields.
+    The planes |m| <= m_max of all fields are stacked, so each lambda's
+    plane-wave factors are built once and shared across fields.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0:
@@ -328,7 +321,6 @@ def _hs_profiles(fields: list, lambdas, m_max: int) -> np.ndarray:
     if not np.all((lambdas > 0) & np.isfinite(lambdas)):
         raise ValueError("lambdas must be positive and finite")
     grid, n_theta = fields[0].grid, fields[0].theta_count
-    coefs, rowsets = [], []
     for j, f in enumerate(fields):
         if f.grid != grid or f.theta_count != n_theta:
             raise ValueError(
@@ -336,14 +328,8 @@ def _hs_profiles(fields: list, lambdas, m_max: int) -> np.ndarray:
                 f"fields[0] on {grid} x {n_theta}"
             )
         _check_truncation(f, float(lambdas.min()), m_max)
-        modes, planes = _circle_modes(f)
-        kept = np.abs(modes) <= m_max
-        rowsets.append(modes[kept])
-        if planes is not None:
-            coefs.append(np.moveaxis(planes.values[..., kept], -1, 0))
+    rowsets, coefs = zip(*(_rows(f, m_max) for f in fields))
     rows = np.concatenate(rowsets)
-    if rows.size == 0:
-        return np.zeros((len(fields), lambdas.size))
     mats = _operator_rows(grid, n_theta, np.concatenate(coefs), rows, lambdas, m_max)
     hs = np.sum(np.abs(mats) ** 2, axis=2)  # (lambdas, stacked rows)
     owner = np.repeat(np.arange(len(fields)), [r.size for r in rowsets])
@@ -378,16 +364,15 @@ def mn_spectral_tail_fraction(f: MotionField, lam_max: float) -> float:
 
     The density sum_k |fhat(xi, theta_k)|^2 / n_theta is taken, by Parseval
     over the uniform circle grid, as sum_m |C_m(xi)|^2 with C_m the
-    Euclidean transform of the circle mode c_m(z).  Only the planes of
-    ``_circle_modes`` (the modes that carry mass, computed once per field
-    and shared with the norm, the position moments and the HS-profiles) are
-    transformed, so a field with a few circle modes costs a few planar
-    FFTs.  The zero field gives 0.
+    Euclidean transform of the circle mode c_m(z).  Only the field's planes
+    (the modes that carry mass) are transformed, so a field with a few
+    circle modes costs a few planar FFTs.  The zero field gives 0.  Raises
+    ValueError unless lam_max is finite and > 0.
     """
-    planes = _circle_modes(f)[1]
-    if planes is None:
+    _require_positive("lam_max", lam_max)
+    if f.planes is None:
         return 0.0
-    fhat = euclidean_ft(planes)
+    fhat = euclidean_ft(f.planes)
     parts = fhat.values.view(np.float64)
     dens = np.einsum("...k,...k->...", parts, parts)
     total = float(dens.sum())
@@ -396,12 +381,25 @@ def mn_spectral_tail_fraction(f: MotionField, lam_max: float) -> float:
     return float(dens[r2 > cut].sum()) / total
 
 
+def _boundary_decay_bound(planes: SampledField) -> float:
+    """An upper bound on ``fields.boundary_decay`` of the samples, from the planes.
+
+    On the box faces |f(z, theta)| <= sum_m |c_m(z)| for every theta, and
+    max_z (sum_m |c_m(z)|^2)^(1/2), the RMS of |f(z, .)| over the circle grid,
+    is at most max |f|: so a field that passes the guard passes the sample one.
+    """
+    mag = np.abs(planes.values)
+    face = mag.sum(axis=-1)
+    worst = max(face[0].max(), face[-1].max(), face[:, 0].max(), face[:, -1].max())
+    return float(worst / np.sqrt(np.max(np.sum(mag * mag, axis=-1))))
+
+
 def _quadrature_guard(f: MotionField, lgrid: LambdaGrid) -> float:
-    planes = _circle_modes(f)[1]
-    if planes is None:  # no circle mode carries mass
+    if f.planes is None:  # no circle mode carries mass
         raise ZeroFieldError("ratio undefined for the zero field")
-    norm_sq = _nonzero_norm_sq(planes)
-    _require_decay(f.sampled, "field has not decayed at the spatial box boundary")
+    norm_sq = _nonzero_norm_sq(f.planes)
+    if _boundary_decay_bound(f.planes) > _BOUNDARY_DECAY_LIMIT:
+        raise DecayError("field has not decayed at the spatial box boundary")
     tail = mn_spectral_tail_fraction(f, lgrid.lam_max)
     if tail > SPECTRAL_TAIL_BUDGET:
         raise SpectralTailError(
@@ -478,9 +476,9 @@ def mn_uncertainty(
     ``mn_plancherel_ratio``: with None the HS-profile is computed once per
     field, lambda nodes and m_max, and shared by the Plancherel ratio and
     every (a, b).  The position moment per a is read off, and kept on, the
-    field's circle-mode planes (``_circle_modes``), which have its moments.
+    field's planes, which have its moments.
     """
     kappa, norm_sq, profile = _kappa(f, lgrid, m_max, profile)
     momentum = _lambda_moment(lgrid, profile, 2.0 * spec.b) / kappa
-    position = _position_moment(_circle_modes(f)[1], spec.a)
+    position = _position_moment(f.planes, spec.a)
     return _uncertainty_terms(spec, norm_sq, position, momentum, 2.0 * np.sqrt(PLANCHEREL_C2))

@@ -89,6 +89,14 @@ def plane_wave(lam, z1, z2, gamma):
     return np.exp(-1j * lam * (z1 * np.cos(gamma) - z2 * np.sin(gamma)))
 
 
+def circle_samples(modes, planes, n_theta):
+    """f(z, theta_k) = sum_j planes[..., j] e^{i modes[j] theta_k} at the n_theta
+    points theta_k = 2 pi k / n_theta: the samples of a motion field held as
+    its circle modes, by one explicit sum over the modes (no FFT)."""
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    return planes @ np.exp(1j * np.outer(modes, theta))
+
+
 def brute_force_motion_ft(values, z1, z2, lam, m_max):
     """Truncated motion-group transform F[m, m'] by an explicit nested sum.
 

@@ -6,8 +6,10 @@ import pytest
 from groupft import euclidean, motion
 from groupft.errors import AliasingError, DecayError, SpectralTailError, ZeroFieldError
 from groupft.fields import (
+    _BOUNDARY_DECAY_LIMIT,
     MomentSpec,
     SampledField,
+    boundary_decay,
     euclidean_ft,
     gaussian_packet,
     l2_norm_sq,
@@ -30,7 +32,13 @@ from groupft.motion import (
     motion_field,
 )
 
-from .oracles import bessel_j, brute_force_motion_ft, brute_force_tail_fraction, plane_wave
+from .oracles import (
+    bessel_j,
+    brute_force_motion_ft,
+    brute_force_tail_fraction,
+    circle_samples,
+    plane_wave,
+)
 from .test_fields import spectral_partial
 
 
@@ -47,6 +55,16 @@ def corpus(grid):
 @pytest.fixture(scope="module")
 def lgrid():
     return make_lambda_grid(16.0, panels=6, nodes_per_panel=10)
+
+
+def samples(f: MotionField) -> np.ndarray:
+    """f(z, theta_k) on the whole grid, synthesised from the held circle modes."""
+    return circle_samples(f.modes, f.planes.values, f.theta_count)
+
+
+def sampled(f: MotionField) -> SampledField:
+    """The samples as a field with the circle's Haar weights 1/n_theta."""
+    return SampledField(f.grid, samples(f), np.full(f.theta_count, 1.0 / f.theta_count))
 
 
 def radial_field(grid, n_theta=64, **packet):
@@ -86,7 +104,7 @@ class TestKernel:
 
     def test_linearity(self, grid, corpus):
         f, g = corpus[0], corpus[1]
-        comb = motion_field(grid, 1.5 * f.values - 0.5j * g.values)
+        comb = motion_field(grid, 1.5 * samples(f) - 0.5j * samples(g))
         lhs = mn_ft(comb, 1.0, 8).matrix
         rhs = 1.5 * mn_ft(f, 1.0, 8).matrix - 0.5j * mn_ft(g, 1.0, 8).matrix
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
@@ -148,10 +166,10 @@ class TestHSNorm:
 
     def test_profiles_reject_mixed_grids(self, grid, corpus):
         wider = make_grid(2, [7.0, 7.0], grid.counts)
-        other = motion_field(wider, corpus[1].values)
+        other = motion_field(wider, samples(corpus[1]))
         with pytest.raises(ValueError, match="fields\\[1\\]"):
             mn_hs_profiles([corpus[0], other], [1.0], 4)
-        coarser = motion_field(grid, corpus[1].values[..., ::2])
+        coarser = motion_field(grid, samples(corpus[1])[..., ::2])
         with pytest.raises(ValueError, match="fields\\[1\\]"):
             mn_hs_profiles([corpus[0], coarser], [1.0], 4)
 
@@ -256,7 +274,8 @@ class TestPlancherel:
 
 
 def d_z1(f: MotionField) -> MotionField:
-    return MotionField(spectral_partial(f.sampled, 0))
+    """d f / d z1, taken plane by plane: the derivative commutes with the circle modes."""
+    return MotionField(f.grid, f.theta_count, f.modes, spectral_partial(f.planes, 0))
 
 
 def mn_derivative_identity_residual(f: MotionField, lam: float, m_max: int) -> float:
@@ -348,25 +367,140 @@ class TestGuards:
             call(f, lgrid, 16)
 
 
-class TestCircleWeights:
-    def test_rejects_nonuniform_circle_weights(self, grid):
-        # the circle-mode transforms rely on Parseval over 1/n_theta weights
-        f = motion_corpus(grid, 128, 1, 1)[0]
-        w = np.linspace(0.5, 1.5, 128)
-        with pytest.raises(ValueError, match="uniform"):
-            MotionField(SampledField(grid, f.values, w / w.sum()))
+def packet_at_decay(grid, bound, n_theta=64):
+    """Centred Gaussian times e^{i theta} + e^{-2 i theta} / 2, its width set so
+    that the plane bound of its boundary decay reads ``bound``.
 
+    The bound takes sum_m |c_m| = 3/2 times the packet at the face point
+    nearest the centre, (L - h, 0), over the RMS peak (5/4)^(1/2) at 0; the
+    samples reach 3/2 at both points (theta = 0), so their boundary decay is
+    the bound over 1.342.
+    """
+    rms_over_sum = np.sqrt(1.25) / 1.5
+    nearest = grid.half_extents[0] - grid.spacings[0]
+    width = nearest / np.sqrt(-np.log(bound * rms_over_sum) / np.pi)
+    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    circle = np.exp(1j * th) + 0.5 * np.exp(-2j * th)
+    return motion_field(grid, gaussian_packet(grid, widths=width).values[..., None] * circle)
+
+
+class TestDecayBound:
+    """The guard bounds the samples' boundary decay from the planes alone."""
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_at_the_limit(self, grid, lgrid, factor):
+        f = packet_at_decay(grid, factor * _BOUNDARY_DECAY_LIMIT)
+        bound = motion._boundary_decay_bound(f.planes)
+        assert bound == pytest.approx(factor * _BOUNDARY_DECAY_LIMIT, rel=1e-9)
+        decay = boundary_decay(sampled(f))
+        assert decay == pytest.approx(bound * np.sqrt(1.25) / 1.5, rel=1e-9)
+        if factor < 1.0:  # passes the plane guard, so passes the sample guard
+            assert decay <= bound <= _BOUNDARY_DECAY_LIMIT
+            assert mn_plancherel_ratio(f, lgrid, 16) == pytest.approx(2.0 * np.pi, rel=1e-6)
+        else:  # the sample guard would pass it: the plane guard is the stricter
+            assert decay <= _BOUNDARY_DECAY_LIMIT < bound
+            with pytest.raises(DecayError, match="spatial box boundary"):
+                mn_plancherel_ratio(f, lgrid, 16)
+
+    def test_bounds_the_sample_decay(self, grid, corpus):
+        undecayed = radial_field(grid, n_theta=16, widths=4.0)
+        for f in corpus + [undecayed, all_modes_field(grid), two_mode_field(grid)]:
+            bound = motion._boundary_decay_bound(f.planes)
+            assert boundary_decay(sampled(f)) <= bound * (1.0 + 1e-12)
+
+
+class TestCircleWeights:
     @pytest.mark.parametrize("n_theta", [3, 7, 99, 128])
     def test_accepts_rounded_uniform_weights(self, n_theta):
+        # the uniform weights 1/n_theta are the circle DFT's own, so a count whose
+        # 1/n_theta does not round exactly is held like any other
         small = make_grid(2, [3.0, 3.0], [8, 8])
-        vals = np.ones(small.counts + (n_theta,))
-        MotionField(SampledField(small, vals, np.full(n_theta, 1.0 / n_theta)))
+        f = motion_field(small, np.ones(small.counts + (n_theta,)))
+        assert f.theta_count == n_theta and list(f.modes) == [0]
+        np.testing.assert_allclose(f.planes.values, 1.0, rtol=1e-15, atol=0.0)
+
+
+BAD_INPUTS = [
+    ("plancherel-m_max-2.5", lambda f, g, lg: mn_plancherel_ratio(f, lg, 2.5), "m_max"),
+    ("profile-m_max-2.5", lambda f, g, lg: mn_hs_profile(f, lg.nodes, 2.5), "m_max"),
+    ("ft-m_max-2.5", lambda f, g, lg: mn_ft(f, 1.0, 2.5), "m_max"),
+    ("ft-m_max-True", lambda f, g, lg: mn_ft(f, 1.0, True), "m_max"),
+    ("profiles-m_max-True", lambda f, g, lg: mn_hs_profiles([f], lg.nodes, True), "m_max"),
+    ("ft-lambda-nan", lambda f, g, lg: mn_ft(f, np.nan, 2), "lambda"),
+    ("ft-lambda-inf", lambda f, g, lg: mn_ft(f, np.inf, 2), "lambda"),
+    ("corpus-n_theta-2.5", lambda f, g, lg: motion_corpus(g, 2.5, 0, 1), "n_theta"),
+    ("corpus-n_theta-True", lambda f, g, lg: motion_corpus(g, True, 0, 1), "n_theta"),
+    ("corpus-n_theta-1", lambda f, g, lg: motion_corpus(g, 1, 0, 1), "n_theta"),
+    ("corpus-count-2.0", lambda f, g, lg: motion_corpus(g, 128, 0, 2.0), "count"),
+    ("corpus-count-True", lambda f, g, lg: motion_corpus(g, 128, 0, True), "count"),
+    ("corpus-count--1", lambda f, g, lg: motion_corpus(g, 128, 0, -1), "count"),
+]
+WORDING = {
+    "m_max": "m_max must be an integer >= 1",
+    "lambda": "lambda must be finite and > 0",
+    "n_theta": "n_theta must be an integer >= 2",
+    "count": "count must be an integer >= 0",
+}
+
+
+class TestInputs:
+    @pytest.mark.parametrize("call, name", [c[1:] for c in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS])
+    def test_rejects_bad_input(self, grid, corpus, lgrid, call, name):
+        # 2.5 raised IndexError or TypeError, True read as 1, nan warned and then
+        # failed the matrix check, and the corpus raised numpy's TypeErrors
+        with pytest.raises(ValueError, match=WORDING[name]):
+            call(corpus[0], grid, lgrid)
+
+    @pytest.mark.parametrize(
+        "shape, bad, match",
+        [((64, 64, 16), np.nan, "NaN or Inf"), ((64, 64, 16), np.inf, "NaN or Inf")]
+        + [((32, 32, 16), 0.0, "does not match grid"), ((64, 64, 1), 0.0, "theta_count")],
+        ids=["nan", "inf", "other-grid", "one-sample"],
+    )
+    def test_samples_rejected(self, grid, shape, bad, match):
+        values = np.ones(shape, dtype=complex)
+        values[3, 4, 0] = bad
+        with pytest.raises(ValueError, match=match):
+            motion_field(grid, values)
+
+    def test_empty_corpus(self, grid):
+        assert motion_corpus(grid, 128, 0, 0) == []
+
+    @pytest.mark.parametrize(
+        "change",
+        ["descending", "beyond-the-residues", "float-modes", "one-dim-grid"]
+        + ["no-planes", "planes-for-no-mode", "other-grid", "haar-weights"],
+    )
+    def test_field_rejects_malformed_parts(self, corpus, change):
+        f = corpus[0]  # modes -1 and 1
+        MotionField(f.grid, f.theta_count, f.modes, f.planes)  # the parts as given are a field
+        grid, n, modes, planes = f.grid, f.theta_count, f.modes, f.planes
+        if change == "descending":
+            modes = modes[::-1]
+        elif change == "beyond-the-residues":
+            modes = np.array([-1, 64])  # 64 is -64 mod 128
+        elif change == "float-modes":
+            modes = modes.astype(float)
+        elif change == "one-dim-grid":
+            grid = make_grid(1, [6.0], [64])
+        elif change == "no-planes":
+            planes = None
+        elif change == "planes-for-no-mode":
+            modes = modes[:0]
+        elif change == "other-grid":
+            planes = SampledField(make_grid(2, [7.0, 7.0], grid.counts), planes.values, np.ones(2))
+        elif change == "haar-weights":
+            planes = SampledField(grid, planes.values, np.full(2, 0.5))
+        with pytest.raises(ValueError, match="a motion field needs"):
+            MotionField(grid, n, modes, planes)
+        with pytest.raises(ValueError, match="theta_count must be an integer >= 2"):
+            MotionField(f.grid, True, f.modes, f.planes)
 
 
 def slice_tail_fraction(f, lam_max):
     """The tail by one Euclidean transform per circle slice, weighted by the circle rule."""
-    fhat = euclidean_ft(f.sampled)
-    dens = np.tensordot(np.abs(fhat.values) ** 2, f.sampled.group_weights, axes=(-1, 0))
+    fhat = euclidean_ft(sampled(f))
+    dens = np.tensordot(np.abs(fhat.values) ** 2, fhat.group_weights, axes=(-1, 0))
     outside = fhat.grid.radius_sq() > (lam_max / (2.0 * np.pi)) ** 2
     return float(dens[outside].sum() / dens.sum())
 
@@ -420,11 +554,17 @@ class TestSpectralTail:
         f = motion_field(grid, np.zeros(grid.counts + (128,)))
         assert mn_spectral_tail_fraction(f, 16.0) == 0.0
 
+    @pytest.mark.parametrize("lam_max", [np.nan, -1.0, 0.0, np.inf], ids=str)
+    def test_rejects_a_bad_lam_max(self, corpus, lam_max):
+        # nan read 0.0 ("no tail") and -1 read 0.954
+        with pytest.raises(ValueError, match="lam_max must be finite and > 0"):
+            mn_spectral_tail_fraction(corpus[0], lam_max)
+
     @pytest.mark.parametrize("kind, n_modes", [("corpus", 2), ("all_modes", 128)])
     def test_transforms_only_carrying_modes(self, grid, corpus, monkeypatch, kind, n_modes):
         # cost shape: a two-mode field costs two planar transforms, not one per circle slice
         f = corpus[0] if kind == "corpus" else all_modes_field(grid)
-        mode_mass = np.sum(np.abs(np.fft.fft(f.values, axis=-1)) ** 2, axis=(0, 1))
+        mode_mass = np.sum(np.abs(np.fft.fft(samples(f), axis=-1)) ** 2, axis=(0, 1))
         assert np.sum(mode_mass > 1e-20 * mode_mass.max()) == n_modes
         planes = []
 
@@ -452,6 +592,22 @@ def counting(monkeypatch, module, *names):
 
         monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+class TestPolarIdentity:
+    """Motion is R^2 x S^1 in polar coordinates (ROADMAP item 16): with the same
+    norm and position moment, the motion momentum moment is the R^2 x S^1 one
+    up to the convention, so the motion ratio is a fixed multiple of the
+    ratio of the field's planes on R^2 x S^1."""
+
+    @pytest.mark.parametrize("seed, count", [(5, 4), (0, 8)], ids=["test-corpus", "bench-set"])
+    def test_motion_ratio_is_twice_the_r2_x_circle_ratio(self, grid, lgrid, seed, count):
+        members = motion_corpus(grid, 128, seed, count)
+        for f, profile in zip(members, mn_hs_profiles(members, lgrid.nodes, 16)):
+            for spec in LATTICE:
+                got = mn_uncertainty(f, spec, lgrid, 16, profile=profile).ratio
+                want = euclidean.rn_uncertainty(f.planes, spec).ratio
+                assert got / want == pytest.approx(2.0, rel=1e-6, abs=0.0)
 
 
 class TestFieldMemo:
@@ -512,36 +668,42 @@ class TestFieldMemo:
         mn_uncertainty(f, LATTICE[0], lg, m)
         assert calls == {"mn_spectral_tail_fraction": tails, "mn_hs_profile": profiles}
 
-    def test_one_circle_dft_per_field(self, monkeypatch):
-        lg = self.SMALL_LGRID
+    def test_no_check_does_a_circle_dft(self, monkeypatch):
+        # the corpus is built as planes and every check reads them: the only 1-D
+        # FFTs are the per-lambda ones over plane-wave rows, shape (rows, n_theta)
+        lg, fft, shapes = self.SMALL_LGRID, np.fft.fft, []
+
+        def recording_fft(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recording_fft)
         shared = [self.small_member(), motion_corpus(self.SMALL, 32, 6, 1)[0]]
-        calls = counting(monkeypatch, motion, "_circle_dft")
         for f, profile in zip(shared, mn_hs_profiles(shared, lg.nodes, 8)):
             mn_plancherel_ratio(f, lg, 8, profile=profile)
             for spec in LATTICE:
                 mn_uncertainty(f, spec, lg, 8, profile=profile)
-        assert calls == {"_circle_dft": 2}
         f = self.small_member()  # the default path: guard and profile
         mn_plancherel_ratio(f, lg, 8)
         for spec in LATTICE:
             mn_uncertainty(f, spec, lg, 8)
-        assert calls == {"_circle_dft": 3}
+        assert shapes and all(len(shape) == 2 and shape[1] == 32 for shape in shapes)
 
     @pytest.mark.parametrize("member", [0, 1, 2, 3, "beyond-M"])
     def test_circle_modes_have_the_norm_and_position_moments(self, grid, corpus, member):
         f = two_mode_field(grid) if member == "beyond-M" else corpus[member]
-        planes = motion._circle_modes(f)[1]
-        norm_sq = l2_norm_sq(f.sampled)
-        assert euclidean._nonzero_norm_sq(planes) == pytest.approx(norm_sq, rel=1e-14, abs=0.0)
+        full = sampled(f)
+        norm_sq = l2_norm_sq(full)
+        assert euclidean._nonzero_norm_sq(f.planes) == pytest.approx(norm_sq, rel=1e-14, abs=0.0)
         for a in (1.0, 2.0):
-            want = euclidean.checked_moment(f.sampled, 2.0 * a, "position")
-            got = euclidean._position_moment(planes, a)
+            want = euclidean.checked_moment(full, 2.0 * a, "position")
+            got = euclidean._position_moment(f.planes, a)
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_a_mode_beyond_the_truncation_counts_in_the_norm(self, grid, lgrid):
         # the m = 20 plane holds half the mass, which the M = 16 profile cannot see
         f = two_mode_field(grid)
-        assert list(motion._circle_modes(f)[0]) == [1, 20]
+        assert list(f.modes) == [1, 20]
         kappa = mn_plancherel_ratio(f, lgrid, 16)
         assert kappa / (2.0 * np.pi) == pytest.approx(0.5, rel=1e-6)
 
@@ -555,11 +717,11 @@ class TestFieldMemo:
 
     def test_a_failed_guard_raises_on_every_call(self, grid, lgrid, monkeypatch):
         f = radial_field(grid, n_theta=16, widths=4.0)
-        calls = counting(monkeypatch, motion, "_require_decay")
+        calls = counting(monkeypatch, motion, "_boundary_decay_bound")
         for _ in range(2):
             with pytest.raises(DecayError, match="spatial box boundary"):
                 mn_plancherel_ratio(f, lgrid, 4)
-        assert calls == {"_require_decay": 2}
+        assert calls == {"_boundary_decay_bound": 2}
 
     @pytest.mark.parametrize("cut", [np.s_[:1], np.s_[:7], np.s_[None, :]], ids=["one", "seven", "row"])
     def test_rejects_a_profile_of_the_wrong_shape(self, corpus, lgrid, cut):

@@ -28,7 +28,7 @@ from groupft.product import (
 )
 
 from .oracles import group_irreps, peter_weyl_blocks
-from .test_motion import LATTICE, counting
+from .test_motion import LATTICE, counting, sampled
 
 GROUPS = {
     "s3": lambda: builtin_group("s3"),
@@ -231,7 +231,7 @@ class TestFieldMemo:
 def test_group_density_matches_tensordot():
     # the group axis is summed by a matrix-vector product; pin its bits
     pf = product_corpus(make_grid(2, [8.0, 8.0], [128, 128]), builtin_group("s3"), 0, 1)[0]
-    member = motion_corpus(make_grid(2, [6.0, 6.0], [64, 64]), 128, 0, 1)[0].sampled
+    member = sampled(motion_corpus(make_grid(2, [6.0, 6.0], [64, 64]), 128, 0, 1)[0])
     for f in (member, pf.base, product_ft(pf)):
         dens = np.abs(f.values) ** 2
         assert np.array_equal(_group_density(f), np.tensordot(dens, f.group_weights, axes=(-1, 0)))
