@@ -136,7 +136,7 @@ def make_grid(dim, half_extents, counts) -> Grid:
     return Grid(half_extents, counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledField:
     """Complex samples on a Grid, optionally crossed with a discrete group axis.
 
@@ -144,7 +144,8 @@ class SampledField:
     ``len(group_weights)`` when a group coordinate is present; its positive
     weights are Haar weights summing to 1 on K, or the Plancherel weights
     d_sigma on the entries of an R^n x K dual).  Instances are immutable;
-    the value array is marked read-only.
+    the value array is marked read-only.  Equality and hash are by
+    identity.
     """
 
     grid: Grid

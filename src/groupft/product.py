@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductField:
     """f(x, k) as a SampledField with group axis matching ``group``."""
 

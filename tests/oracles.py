@@ -105,13 +105,18 @@ def brute_force_motion_ft(values, z1, z2, lam, m_max):
 
     with theta_k = g_k = 2 pi k / n on the n-point circle grid: the full
     plane wave is built over (z1, z2, theta, gamma) for every entry, with no
-    FFT and no factorisation of the exponential.
+    FFT and no factorisation of the exponential.  An angle whose wave has a
+    frequency |lam cos g_j| / 2 pi or |lam sin g_j| / 2 pi beyond the
+    Nyquist frequency 1 / (2 h) of its axis contributes 0, as the grid
+    cannot tell it from its aliases.
     """
     n = values.shape[-1]
     ang = 2.0 * np.pi * np.arange(n) / n
     TH = ang[None, None, :, None]
     GA = ang[None, None, None, :]
     wave = plane_wave(lam, z1[:, None, None, None], z2[None, :, None, None], GA)
+    for z, trig in ((z1, np.cos), (z2, np.sin)):
+        wave = np.where(abs(lam * trig(GA)) / (2.0 * np.pi) > 0.5 / (z[1] - z[0]), 0.0, wave)
     f = values[..., None]
     h2 = (z1[1] - z1[0]) * (z2[1] - z2[0])
     side = 2 * m_max + 1

@@ -430,6 +430,18 @@ class TestDiagnostics:
             axis_band_fraction(f, 0, cut)
 
 
+def assert_compared_by_identity(obj, twin):
+    """``obj`` equals and hashes as itself, and not as ``twin``, built from the same parts."""
+    assert obj == obj and obj != twin
+    assert hash(obj) == hash(obj) and {obj: 1}[obj] == 1
+    assert len({obj, twin}) == 2
+
+
+def test_sampled_field_compares_by_identity():
+    f = gaussian_packet(make_grid(1, [4.0], [32]))
+    assert_compared_by_identity(f, SampledField(f.grid, f.values, f.group_weights))
+
+
 def test_cached_legendre_rule_is_read_only():
     x, w = _legendre(10)
     assert _legendre(10)[0] is x

@@ -39,7 +39,7 @@ from .oracles import (
     circle_samples,
     plane_wave,
 )
-from .test_fields import spectral_partial
+from .test_fields import assert_compared_by_identity, spectral_partial
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,9 @@ def single_mode_field(grid, mode, n_theta=64):
     return motion_field(grid, gaussian_packet(grid).values[..., None] * np.exp(1j * mode * th))
 
 
+PLANE_WAVE_CASES = [(lam, n) for lam in (0.7, 2.3, 10.0) for n in (16, 15, 18)]
+
+
 class TestKernel:
     def test_single_point_probe_vs_bessel(self):
         rng = np.random.default_rng(0)
@@ -109,15 +112,36 @@ class TestKernel:
         rhs = 1.5 * mn_ft(f, 1.0, 8).matrix - 0.5j * mn_ft(g, 1.0, 8).matrix
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    @pytest.mark.parametrize("lam", [0.7, 2.3])
-    def test_matrix_vs_explicit_plane_waves(self, lam):
+    @pytest.mark.parametrize(
+        "lam, n_theta",
+        PLANE_WAVE_CASES,
+        ids=[f"{lam}" if n == 16 else f"{lam}-n{n}" for lam, n in PLANE_WAVE_CASES],
+    )
+    def test_matrix_vs_explicit_plane_waves(self, lam, n_theta):
+        # one n_theta per case of the reflection table (4 | 16, odd 15, 18 = 2 mod 4);
+        # at lambda = 10 the dual-box mask zeroes the plane waves of some angles, not all
         small = make_grid(2, [3.0, 3.0], [16, 16])
+        gam = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        beyond = np.maximum(abs(np.cos(gam)), abs(np.sin(gam))) * lam / (2.0 * np.pi)
+        masked = np.count_nonzero(beyond > small.dual_half_extents[0])
+        assert masked == 0 if lam < 10.0 else 0 < masked < n_theta
         rng = np.random.default_rng(1)
-        shape = small.counts + (16,)
+        shape = small.counts + (n_theta,)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         got = mn_ft(motion_field(small, vals), lam, 3).matrix
         want = brute_force_motion_ft(vals, small.axis(0), small.axis(1), lam, 3)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_a_faint_mode_is_kept_and_transformed(self, grid):
+        # a plane at 1e-10 of the peak norm carries mass, far above the round-off cut
+        th = 2.0 * np.pi * np.arange(16) / 16
+        packet = gaussian_packet(grid).values[..., None]
+        f = motion_field(grid, packet * (np.exp(1j * th) + 1e-10 * np.exp(3j * th)))
+        assert list(f.modes) == [1, 3]
+        faint = mn_ft(f, 1.0, 4).matrix[4 + 3]
+        want = 1e-10 * mn_ft(motion_field(grid, packet * np.exp(3j * th)), 1.0, 4).matrix[4 + 3]
+        assert np.abs(want).max() > 0.0
+        np.testing.assert_allclose(faint, want, rtol=0, atol=1e-5 * np.abs(want).max())
 
     def test_plane_waves_beyond_the_dual_box_are_zero(self):
         # every gamma puts cos or sin beyond the dual half-extent 4/3, where the
@@ -409,6 +433,26 @@ class TestDecayBound:
             assert boundary_decay(sampled(f)) <= bound * (1.0 + 1e-12)
 
 
+class TestTailBudget:
+    """The spectral-tail guard passes a field whose tail is under the budget."""
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_radial_gaussian_at_the_budget(self, grid, factor):
+        # exp(-pi |z|^2 / w^2) has exp(-2 pi w^2 rho^2) of its spectral mass beyond
+        # rho = lam_max / 2 pi; the dual lattice counts that ring within 15%
+        lam_max, tail = 6.0, factor * motion.SPECTRAL_TAIL_BUDGET
+        rho = lam_max / (2.0 * np.pi)
+        f = radial_field(grid, n_theta=16, widths=np.sqrt(-np.log(tail) / (2.0 * np.pi)) / rho)
+        assert mn_spectral_tail_fraction(f, lam_max) == pytest.approx(tail, rel=0.15)
+        lg = make_lambda_grid(lam_max, panels=6, nodes_per_panel=10)
+        if factor < 1.0:  # the lambda rule misses exactly the tail
+            kappa = mn_plancherel_ratio(f, lg, 4)
+            assert kappa == pytest.approx(2.0 * np.pi * (1.0 - tail), rel=1e-9)
+        else:
+            with pytest.raises(SpectralTailError, match="exceeds 1e-02"):
+                mn_plancherel_ratio(f, lg, 4)
+
+
 class TestCircleWeights:
     @pytest.mark.parametrize("n_theta", [3, 7, 99, 128])
     def test_accepts_rounded_uniform_weights(self, n_theta):
@@ -435,11 +479,24 @@ BAD_INPUTS = [
     ("corpus-count-True", lambda f, g, lg: motion_corpus(g, 128, 0, True), "count"),
     ("corpus-count--1", lambda f, g, lg: motion_corpus(g, 128, 0, -1), "count"),
 ]
+# a given profile leaves m_max unused, and it is checked all the same
+GIVEN_PROFILE = {
+    "plancherel": lambda f, lg, m: mn_plancherel_ratio(f, lg, m, profile=np.ones(lg.nodes.shape)),
+    "uncertainty": lambda f, lg, m: mn_uncertainty(
+        f, MomentSpec(1.0, 1.0), lg, m, profile=np.ones(lg.nodes.shape)
+    ),
+}
+BAD_INPUTS += [
+    (f"{name}-profile-m_max-{m}", lambda f, g, lg, c=call, m=m: c(f, lg, m), kind)
+    for name, call in GIVEN_PROFILE.items()
+    for m, kind in [(2.5, "m_max"), (True, "m_max"), (-3, "m_max"), (100, "aliasing")]
+]
 WORDING = {
-    "m_max": "m_max must be an integer >= 1",
-    "lambda": "lambda must be finite and > 0",
-    "n_theta": "n_theta must be an integer >= 2",
-    "count": "count must be an integer >= 0",
+    "m_max": (ValueError, "m_max must be an integer >= 1"),
+    "aliasing": (AliasingError, "M=100 needs at least 202 circle samples"),
+    "lambda": (ValueError, "lambda must be finite and > 0"),
+    "n_theta": (ValueError, "n_theta must be an integer >= 2"),
+    "count": (ValueError, "count must be an integer >= 0"),
 }
 
 
@@ -448,7 +505,8 @@ class TestInputs:
     def test_rejects_bad_input(self, grid, corpus, lgrid, call, name):
         # 2.5 raised IndexError or TypeError, True read as 1, nan warned and then
         # failed the matrix check, and the corpus raised numpy's TypeErrors
-        with pytest.raises(ValueError, match=WORDING[name]):
+        error, match = WORDING[name]
+        with pytest.raises(error, match=match):
             call(corpus[0], grid, lgrid)
 
     @pytest.mark.parametrize(
@@ -608,6 +666,21 @@ class TestPolarIdentity:
                 got = mn_uncertainty(f, spec, lgrid, 16, profile=profile).ratio
                 want = euclidean.rn_uncertainty(f.planes, spec).ratio
                 assert got / want == pytest.approx(2.0, rel=1e-6, abs=0.0)
+
+
+class TestIdentity:
+    """Motion objects hold arrays, so == and hash() are those of the object."""
+
+    def test_motion_field(self, corpus):
+        f = corpus[0]
+        assert_compared_by_identity(f, MotionField(f.grid, f.theta_count, f.modes, f.planes))
+
+    def test_operator_matrix(self, corpus):
+        op = mn_ft(corpus[0], 1.0, 4)
+        assert_compared_by_identity(op, OperatorMatrix(op.lam, op.m_max, op.matrix))
+
+    def test_lambda_grid(self, lgrid):
+        assert_compared_by_identity(lgrid, LambdaGrid(lgrid.nodes, lgrid.weights, lgrid.lam_max))
 
 
 class TestFieldMemo:

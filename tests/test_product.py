@@ -28,6 +28,7 @@ from groupft.product import (
 )
 
 from .oracles import group_irreps, peter_weyl_blocks
+from .test_fields import assert_compared_by_identity
 from .test_motion import LATTICE, counting, sampled
 
 GROUPS = {
@@ -212,6 +213,10 @@ class TestFieldMemo:
                 product_uncertainty(zero, LATTICE[0])
             with pytest.raises(MomentDivergenceError, match="frequency"):
                 product_uncertainty(jump, LATTICE[0])
+
+    def test_compared_by_identity(self, grid1d, s3):
+        pf = product_corpus(grid1d, s3, 13, 1)[0]
+        assert_compared_by_identity(pf, ProductField(pf.base, pf.group))
 
     def test_base_and_product_keep_separate_momentum(self, grid1d, s3, monkeypatch):
         pf = product_corpus(grid1d, s3, 13, 1)[0]
