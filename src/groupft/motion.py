@@ -18,19 +18,23 @@ exp(i lambda z2 sin g), the ``fields._axis_phase`` rows at lambda cos g / 2 pi
 and lambda sin g / 2 pi, which are 0 beyond the dual box (where they alias)
 as in every direct transform.  So ``mn_ft`` and the HS-profiles share one
 path that, per lambda, builds only those two small factors and contracts
-the theta-coefficient rows against them: one matmul over z2, a reduction
-over z1 and one FFT over the circle grid; profiles stack the active rows of
-all their fields so the factors are built once per lambda.  The circle grid
-is closed under g -> -g, and for even n_theta under g -> pi - g; the first
-negates sin and the second cos, and a negated node gives the conjugate
-phase.  So the factors are built at the angles in [0, pi/2] only (in
-[0, pi) for odd n_theta), and every other angle gathers them, conjugated
-where its node is negated: (n_theta // 4 + 1)(N1 + N2) complex exponentials
-per lambda for even n_theta rather than n_theta (N1 + N2).  The mirrored nodes come from the
-representative's cos and sin, which can differ from the angle's own by one
-ulp; against building every angle, the benchmark's 126 motion check numbers
-at seeds 0, 1 and 7 moved by at most 3.4e-16 relative (x86-64, numpy 2.4.6),
-and 97 of them not at all.
+the theta-coefficient rows against them: one real matmul over z2, a
+reduction over z1 and one FFT over the circle grid; profiles stack the
+active rows of all their fields so the factors are built once per lambda.
+The circle grid is closed under g -> -g, and for even n_theta under
+g -> pi - g; the first negates sin and the second cos, and a negated node
+gives the conjugate phase.  So the factors are built, and both contractions
+run, at the angles in [0, pi/2] only (in [0, pi) for odd n_theta): with
+the rows split into real and imaginary parts, a conjugated factor
+conjugates the real product, so each such angle yields the four sums that
+the angles it stands for need.  For R rows on an N1 x N2 grid the z2
+matmul costs 4 R N1 N2 (n_theta // 4 + 1) real multiply-adds, against
+4 R N1 N2 n_theta when the complex rows meet every angle: 3.9x fewer at
+n_theta = 128.  The mirrored nodes come from the representative's cos and
+sin, which can differ from the angle's own by one ulp, and the real sums
+add in another order than complex ones: against the complex contraction
+over every gathered angle, the benchmark's 126 motion check numbers at
+seeds 0, 1 and 7 moved by at most 2.8e-16 relative (x86-64, numpy 2.4.6).
 
 A ``MotionField`` holds the circle modes of f(z, theta_k) = sum_m c_m(z)
 e^{i m theta_k}: the signed m that carry mass and their planes c_m(z), one
@@ -93,6 +97,9 @@ __all__ = [
 # c_n = 2 / (2^{n/2} Gamma(n/2)) at n = 2
 PLANCHEREL_C2 = 1.0
 
+# share of the Euclidean spectral mass allowed beyond lam_max / 2 pi; the
+# guard counts it on the dual lattice, which near the cut reads about 10%
+# below the continuous tail (see ``mn_spectral_tail_fraction``)
 SPECTRAL_TAIL_BUDGET = 0.01
 
 
@@ -293,37 +300,52 @@ def _operator_rows(
     the circle-grid DFT of the sampled plane wave exp(-i lambda <u^{-1} e_1, z>)
     against c_m; modes |q| >= n_theta alias onto their residue, which is the
     honest output of circle-grid quadrature.  Per lambda the plane wave
-    enters through its two small factors, the ``_axis_phase`` rows (0 beyond
-    the dual box) at lambda cos g_j / 2 pi and lambda sin g_j / 2 pi: one
-    matmul over z2, a reduction over z1, one FFT over the circle grid.
+    enters through its two small factors, the ``_axis_phase`` rows w1 at
+    lambda cos g_j / 2 pi (over z1) and w2 at lambda sin g_j / 2 pi (over z2),
+    0 beyond the dual box, built at the representative angles of
+    ``_circle_reflections`` only: 0..n_theta // 4 for even n_theta,
+    0..n_theta // 2 for odd, so reps = n_theta // 4 + 1 angles and
+    reps (N1 + N2) complex exponentials per lambda for even n_theta.
 
-    The factors are built at the representative angles of
-    ``_circle_reflections`` only, 0..n_theta // 4 for even n_theta and
-    0..n_theta // 2 for odd: (n_theta // 4 + 1)(N1 + N2) complex
-    exponentials per lambda for even n_theta, against n_theta (N1 + N2) when
-    every angle is built.  Each angle gathers its representative's rows from
-    one index table, conjugated by a flag per factor: g -> -g negates sin and
-    so conjugates the z2 factor, g -> pi - g negates cos and so conjugates
-    the z1 factor.  A negated node gives exactly the conjugate phase, and the
-    dual-box mask is symmetric in the node.
+    The rows are split into one real array X = [Re c; Im c], shape
+    (2R N1, N2), and one real GEMM P = X [Re w2 | Im w2]^T over z2 takes
+    2 reps columns (66 at n_theta = 128).  X is real, so the negated sin
+    node of g -> -g gives conj(P).  Per representative the z1 reduction
+    forms A = sum_z1 w1 P and B = sum_z1 w1 conj(P) from four real
+    contractions (Re or Im of w1 against Re or Im of P: CR, CI, SR, SI);
+    the negated cos node of g -> pi - g conjugates w1, so each angle takes
+    A, B, conj B or conj A, at index rep + reps (2 conj1 + conj2).  A
+    negated node gives exactly the conjugate phase, and the dual-box mask
+    is symmetric in the node.  The circle DFT then runs on S(Re c) +
+    i S(Im c), S the gathered sums of each real part.
+
+    For R rows the z2 GEMM costs 4 R N1 N2 reps real multiply-adds and the
+    z1 reduction 8 R N1 reps, against 4 R N1 N2 n_theta and 4 R N1 n_theta
+    when the complex rows meet all n_theta gathered columns: 3.9x and 1.9x
+    fewer at n_theta = 128, about 2x and 1x for odd n_theta.
     """
     rep, conj1, conj2 = _circle_reflections(n_theta)
     reps = int(rep.max()) + 1
     gam = 2.0 * np.pi * np.arange(reps) / n_theta
     cos, sin = np.cos(gam), np.sin(gam)
-    take1, take2 = rep + reps * conj1, rep + reps * conj2  # rows of (phase, conj phase)
+    take = rep + reps * (2 * conj1 + conj2)  # columns of (A, B, conj B, conj A)
     n1, n2 = grid.counts
-    flat = coef.reshape(-1, n2)  # (R * N1, N2)
+    # X^T as a C-ordered copy: numpy's matmul against the transposed view is ~60x slower
+    xt = np.concatenate((coef.real, coef.imag)).reshape(-1, n2).T.copy()
     cols = np.arange(-m_max, m_max + 1)
     q = (rows[:, None] - cols[None, :]) % n_theta  # F[m, m'] = D[m - m']
     out = np.empty((len(lambdas), rows.size, cols.size), dtype=np.complex128)
     for i, lam in enumerate(lambdas):
         w1 = _axis_phase(grid, 0, lam * cos / (2.0 * np.pi), -1.0)
         w2 = _axis_phase(grid, 1, lam * sin / (2.0 * np.pi), +1.0)
-        wave1 = np.concatenate((w1, w1.conj()))[take1].T
-        wave2 = np.concatenate((w2, w2.conj()))[take2].T
-        partial = (flat @ wave2).reshape(rows.size, n1, n_theta)
-        d = np.fft.fft(np.einsum("rag,ag->rg", partial, wave1), axis=-1)
+        p = (np.concatenate((w2.real, w2.imag)) @ xt).reshape(2, reps, 2 * rows.size, n1)
+        # (Re|Im P, representative, X row, Re|Im w1), one small matmul per representative
+        c = p @ w1.view(np.float64).reshape(reps, n1, 2)
+        cr, ci, sr, si = c[0, ..., 0], c[1, ..., 0], c[0, ..., 1], c[1, ..., 1]
+        a = (cr - si) + 1j * (ci + sr)
+        b = (cr + si) + 1j * (sr - ci)
+        s = np.concatenate((a, b, b.conj(), a.conj())).T  # (2R, 4 reps)
+        d = np.fft.fft(s[: rows.size, take] + 1j * s[rows.size :, take], axis=-1)
         out[i] = np.take_along_axis(d, q, axis=1)
     return out * (grid.cell_volume / n_theta)
 
@@ -412,6 +434,14 @@ def mn_spectral_tail_fraction(f: MotionField, lam_max: float) -> float:
     (the modes that carry mass) are transformed, so a field with a few
     circle modes costs a few planar FFTs.  The zero field gives 0.  Raises
     ValueError unless lam_max is finite and > 0.
+
+    The tail is counted on the discrete dual lattice with a sharp radius
+    cut, so near the cut it reads about 10% below the continuous tail that
+    the lambda rule misses: on 64^2, extent 6, lam_max = 6 (dual spacing
+    1/12), radial Gaussians whose continuous tails are 0.005 and 0.02 read
+    0.00445 and 0.0184, while the lambda rule misses exactly the continuous
+    tail (kappa / 2 pi = 1 - 0.005 to 1e-16 for the first).  So
+    ``SPECTRAL_TAIL_BUDGET`` admits about 10% more tail than it states.
     """
     _require_positive("lam_max", lam_max)
     if f.planes is None:

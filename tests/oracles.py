@@ -6,6 +6,8 @@ Hilbert-Schmidt norm oracle from naive nested Riemann/Gauss sums over
 explicitly built phase arrays.
 """
 
+import math
+
 import numpy as np
 
 
@@ -58,6 +60,34 @@ def brute_force_hs_norm_sq(field_values, grid_axes, cell_volume, h_abs, targets,
     return h_abs * total
 
 
+def solve_decreasing(fn, lo, hi, target):
+    """The x in [lo, hi] where the decreasing function fn equals target, by bisection."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fn(mid) > target else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def gaussian_band_fraction(modulation, cut):
+    """Share of the spectral mass of exp(-pi x^2 + 2 pi i a x) in |xi| < cut: its
+    density is proportional to exp(-2 pi (xi - a)^2), so the share is a pair of
+    error functions."""
+    s = math.sqrt(2.0 * math.pi)
+    return 0.5 * (math.erf(s * (cut - modulation)) + math.erf(s * (cut + modulation)))
+
+
+def gaussian_edge_moment_fraction(width, half_extent, count, power):
+    """Share of sum_j |x_j|^p |f(x_j)|^2, p = power, carried by the two end
+    samples x_0 = -L and x_{N-1} = L - h (h = 2 L / N) for f = exp(-pi x^2 / w^2)
+    on a box that holds nearly all of it: the whole sum is taken as the integral
+    over the line divided by h, Gamma((p + 1) / 2) / (alpha^((p + 1) / 2) h)
+    with alpha = 2 pi / w^2."""
+    h, alpha = 2.0 * half_extent / count, 2.0 * math.pi / width**2
+    ends = [half_extent, half_extent - h]
+    edge = sum(x**power * math.exp(-alpha * x * x) for x in ends)
+    return h * edge * alpha ** ((power + 1) / 2) / math.gamma((power + 1) / 2)
+
+
 def peter_weyl_blocks(values, weights, irreps, inverses):
     """phihat(sigma) = sum_k w_k values[..., k] sigma(k^{-1}), one irrep at a time.
 
@@ -95,6 +125,23 @@ def circle_samples(modes, planes, n_theta):
     its circle modes, by one explicit sum over the modes (no FFT)."""
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     return planes @ np.exp(1j * np.outer(modes, theta))
+
+
+def circle_average_transform_sq(planes, grid_axes, cell_volume, lam, n_theta):
+    """sum_m mean_j |C_m(lam (cos g_j, -sin g_j) / 2 pi)|^2 over the n_theta
+    angles g_j = 2 pi j / n_theta, C_m the ``direct_transform`` of the plane
+    planes[..., m]: the HS norm of the motion transform at lam summed over all
+    n_theta circle modes, by Parseval over the circle grid.
+
+    Each angle's point is transformed on its own, with no factorisation of the
+    plane wave, no reflection table and no out-of-box mask.
+    """
+    total = 0.0
+    for m in range(planes.shape[-1]):
+        for g in 2.0 * np.pi * np.arange(n_theta) / n_theta:
+            point = lam * np.array([np.cos(g), -np.sin(g)]) / (2.0 * np.pi)
+            total += abs(direct_transform(planes[..., m], grid_axes, cell_volume, point)) ** 2
+    return total / n_theta
 
 
 def brute_force_motion_ft(values, z1, z2, lam, m_max):

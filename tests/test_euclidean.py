@@ -13,9 +13,11 @@ from groupft.fields import (
     gaussian_packet,
     l2_norm_sq,
     make_grid,
+    moment_boundary_fraction,
 )
 from groupft.fields import test_corpus as corpus
 
+from .oracles import gaussian_edge_moment_fraction, solve_decreasing
 from .test_motion import LATTICE, counting
 
 
@@ -79,6 +81,28 @@ def test_moment_divergence_flagged():
     slow = SampledField(g, 1.0 / (1.0 + g.axis(0) ** 2) + 0j)
     with pytest.raises(MomentDivergenceError):
         rn_uncertainty(slow, MomentSpec(2.0, 1.0))
+
+
+class TestBoundaryBudget:
+    """The moment guard passes a field whose end samples carry less than 1e-6
+    of the integrand (BOUNDARY_MASS_BUDGET, written out so that a changed
+    budget fails) and rejects one that carries more."""
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_wide_gaussian_at_the_budget(self, factor):
+        # exp(-pi x^2 / w^2) on [-4, 4): the width that puts factor x 1e-6 of
+        # x^2 |f|^2 on the two end samples
+        half_extent, count, share = 4.0, 128, factor * 1e-6
+        width = solve_decreasing(
+            lambda w: -gaussian_edge_moment_fraction(w, half_extent, count, 2.0), 0.5, 4.0, -share
+        )
+        f = gaussian_packet(make_grid(1, [half_extent], [count]), widths=width)
+        assert moment_boundary_fraction(f, 2.0) == pytest.approx(share, rel=1e-4)
+        if factor < 1.0:  # a Gaussian is extremal at (1, 1): the box cut costs ~1e-6
+            assert rn_uncertainty(f, MomentSpec(1.0, 1.0)).ratio == pytest.approx(1.0, abs=1e-5)
+        else:
+            with pytest.raises(MomentDivergenceError, match="position moment untrusted"):
+                rn_uncertainty(f, MomentSpec(1.0, 1.0))
 
 
 class TestDilationSweep:

@@ -36,6 +36,7 @@ from .oracles import (
     bessel_j,
     brute_force_motion_ft,
     brute_force_tail_fraction,
+    circle_average_transform_sq,
     circle_samples,
     plane_wave,
 )
@@ -666,6 +667,28 @@ class TestPolarIdentity:
                 got = mn_uncertainty(f, spec, lgrid, 16, profile=profile).ratio
                 want = euclidean.rn_uncertainty(f.planes, spec).ratio
                 assert got / want == pytest.approx(2.0, rel=1e-6, abs=0.0)
+
+
+class TestProfileOracle:
+    """The HS-profile is the circle average of the planes' plane transforms: by
+    Parseval over the circle grid, sum_q |D_m[q]|^2 over all n_theta circle
+    modes q is mean_j |C_m(lambda (cos g_j, -sin g_j) / 2 pi)|^2, so the
+    profile equals that sum up to the mass of the modes q = m - m' that its
+    cut |m'| <= M drops."""
+
+    @pytest.mark.parametrize("n_theta", [128, 45], ids=["bench-shaped", "odd"])
+    def test_profile_is_the_circle_average_of_direct_transforms(self, grid, n_theta):
+        f = motion_corpus(grid, n_theta, 0, 1)[0]
+        axes = [grid.axis(0), grid.axis(1)]
+        lams = [0.5, 2.0, 4.0, 8.0]
+        got = mn_hs_profile(f, lams, 16)
+        want = [
+            circle_average_transform_sq(f.planes.values, axes, grid.cell_volume, lam, n_theta)
+            for lam in lams
+        ]
+        np.testing.assert_allclose(got[:3], want[:3], rtol=1e-12, atol=0.0)
+        # at lambda = 8 the M = 16 cut drops about 1e-9 of the mass, never adds
+        assert want[3] * (1.0 - 1e-8) <= got[3] <= want[3] * (1.0 + 1e-12)
 
 
 class TestIdentity:

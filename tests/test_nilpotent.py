@@ -16,7 +16,12 @@ from groupft.errors import DecayError, IllConditionedError, SingularBandError, Z
 from groupft.fields import MomentSpec, SampledField, gaussian_packet, l2_norm_sq, make_grid
 
 from .json_kinds import NOT_OBJECT_IDS, NOT_OBJECTS, check_every_kind
-from .oracles import brute_force_hs_norm_sq, threadlike_brackets
+from .oracles import (
+    brute_force_hs_norm_sq,
+    gaussian_band_fraction,
+    solve_decreasing,
+    threadlike_brackets,
+)
 
 DATA = Path(nil.__file__).resolve().parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
@@ -460,6 +465,49 @@ def test_plancherel_guard_rejects_band_mass(t3_grid):
     with pytest.raises(SingularBandError) as info:
         nil.nilpotent_plancherel_ratio(gaussian_packet(t3_grid), nil.threadlike_descriptor(3))
     assert info.value.excluded_mass == pytest.approx(0.14, abs=0.005)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_band_guard_at_the_budget(t3_grid, factor):
+    # exp(-pi |x|^2 + 2 pi i a x_1) with the a that puts factor x 0.5% of its
+    # spectral mass in |xi_1| < EPS_SINGULAR; 0.5% is BAND_MASS_BUDGET, written
+    # out so that a changed budget fails.  The cross-section rule leaves out
+    # exactly that band.
+    share = factor * 0.005
+    a = solve_decreasing(lambda a: gaussian_band_fraction(a, nil.EPS_SINGULAR), 0.0, 2.0, share)
+    f, desc = gaussian_packet(t3_grid, modulations=(a, 0.0, 0.0)), nil.threadlike_descriptor(3)
+    if factor < 1.0:
+        assert nil.nilpotent_plancherel_ratio(f, desc) == pytest.approx(1.0 - share, rel=1e-9)
+    else:
+        with pytest.raises(SingularBandError) as info:
+            nil.nilpotent_plancherel_ratio(f, desc)
+        assert info.value.excluded_mass == pytest.approx(share, rel=1e-9)
+
+
+@pytest.mark.parametrize("member", [0, 2, 4])
+def test_n3_momentum_is_the_axis0_marginal_moment(t3_grid, member):
+    """At n = 3 the cross-section point is xi_1 = eta_1 and |h Pf| = 1, so by
+    the pullback the momentum moment int |xi|^2b hs2 / (|h|^b |Pf|^(b-1)) dxi
+    is int |eta_1|^2b g(eta_1) d eta_1 outside the band |eta_1| < EPS_SINGULAR,
+    g the axis-0 marginal of |F f|^2.  The marginal is read off one FFT along
+    axis 0 (a Riemann sum over the dual lattice), less the band's share, which
+    direct transforms at Gauss nodes in the band give.  At the converged nodes
+    w=80/t=48 they agree to <= 8.8e-10 at b = 1 and 2 on these members; the
+    band alone is 3.2e-7 of the moment at b = 1."""
+    f, desc = nil.nilpotent_corpus(t3_grid, 0, 5)[member], nil.threadlike_descriptor(3)
+    profile = nil.nilpotent_w_profile(f, desc, 80, 48)
+    (h1, h2, h3), x1, n1 = t3_grid.spacings, t3_grid.axis(0), t3_grid.counts[0]
+    eta = np.fft.fftfreq(n1, d=h1)
+    marginal = np.sum(np.abs(np.fft.fft(f.values, axis=0) * h1) ** 2, axis=(1, 2)) * h2 * h3
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    band_eta, band_w = nil.EPS_SINGULAR * nodes, nil.EPS_SINGULAR * weights
+    slab = np.tensordot(np.exp(-2j * np.pi * np.outer(band_eta, x1)) * h1, f.values, axes=(1, 0))
+    band_marginal = np.sum(np.abs(slab) ** 2, axis=(1, 2)) * h2 * h3
+    for b in (1.0, 2.0):
+        lattice = np.sum(np.abs(eta) ** (2.0 * b) * marginal) / (n1 * h1)
+        band = np.sum(band_w * np.abs(band_eta) ** (2.0 * b) * band_marginal)
+        terms = nil.nilpotent_uncertainty(f, desc, MomentSpec(1.0, b), profile=profile)
+        assert terms.momentum_term ** (2.0 * b) == pytest.approx(lattice - band, rel=1e-8)
 
 
 @pytest.mark.parametrize(
