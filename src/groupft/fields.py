@@ -12,8 +12,12 @@ x_j * xi_k = (j - N/2)(k - N/2)/N exactly, and the discrete transform (an
 FFT between two half-length rolls) is an exactly unitary approximation of
 the integral (Parseval holds to machine precision), so Plancherel defects
 measured later are genuine quadrature/truncation effects, not bookkeeping.
-The FFT runs in place on the copy the first roll makes, because touching
-freshly allocated per-axis output arrays costs more than the transform.
+The FFT, and the second roll as orthant swaps, run in place on the copy
+the first roll makes, because touching freshly allocated full-size
+outputs costs more than the transform.  Off the grid, every direct
+transform takes its phases exp(+-2 pi i xi x) from one builder, which
+runs ``exp`` on half of each axis only: the axis is symmetric about its
+sample x = 0, so the other half's phases are conjugates.
 
 A field may carry one trailing discrete axis with positive weights, which
 norms and moments sum against and the Fourier transform leaves alone: Haar
@@ -24,6 +28,7 @@ weights d_sigma over the entries fhat(y, sigma) of an R^n x K dual.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import os
@@ -292,15 +297,27 @@ def _centred_fft(f: SampledField, transform, scale: float) -> SampledField:
     """``transform`` (np.fft.fftn or ifftn) of the spatial axes between two
     half-length rolls, scaled in place; a group axis keeps its order.
 
-    The transform runs in place (``out=``, numpy >= 2.0) on the rolled
-    copy of the input, which this function owns; the field's own values are
-    never written.  Without ``out=`` numpy allocates a fresh full-size
-    output for each axis, and first-touching those pages costs more than
-    the transform itself.  The arithmetic is the same, so the values are
-    the same bits."""
-    axes = tuple(range(f.grid.dim))
-    rolled = np.fft.fftshift(f.values, axes)
-    vals = np.fft.fftshift(transform(rolled, axes=axes, out=rolled), axes)
+    The first roll copies the input, and everything after it runs on that
+    copy, which this function owns; the field's own values are never
+    written.  The transform runs in place (``out=``, numpy >= 2.0), and
+    the second roll too: every count is even, so rolling each spatial axis
+    by half its length swaps each orthant of the box with the opposite
+    one, through one buffer of an orthant's size.  Fresh full-size outputs
+    for each axis and for the roll would cost more, in first-touched pages,
+    than the transform itself.  Only data moves, so the values are the same
+    bits as the out-of-place roll, transform and roll."""
+    dim = f.grid.dim
+    axes = tuple(range(dim))
+    vals = np.fft.fftshift(f.values, axes)
+    transform(vals, axes=axes, out=vals)
+    halves = [(slice(None, n // 2), slice(n // 2, None)) for n in f.grid.counts]
+    buf = np.empty_like(vals[tuple(low for low, _ in halves)])
+    for side in itertools.product((0, 1), repeat=dim - 1):  # the first axis stays in its low half
+        low = tuple(h[s] for h, s in zip(halves, (0,) + side))
+        high = tuple(h[1 - s] for h, s in zip(halves, (0,) + side))
+        buf[...] = vals[low]
+        vals[low] = vals[high]
+        vals[high] = buf
     vals *= scale
     return SampledField(f.grid.dual(), vals, f.group_weights)
 
@@ -327,9 +344,20 @@ def _axis_phase(grid: Grid, axis: int, nodes, sign: float) -> np.ndarray:
     """exp(sign*2*pi*i*xi*x) between ``nodes`` xi (any shape) and the samples x
     of one grid axis, shape nodes.shape + (N,): the one phase builder of every
     direct (non-FFT) transform, motion's plane waves included.  Rows of nodes
-    beyond the axis's dual half-extent are zero, because there the sum aliases."""
+    beyond the axis's dual half-extent are zero, because there the sum aliases.
+
+    The axis is x_j = h (j - N/2) with N even, so x_{N/2+k} = -x_{N/2-k} and
+    the phase there is the conjugate of the phase at x_{N/2-k}: ``exp`` runs
+    on the columns 0..N/2 only, and the others are conjugated copies.  Where
+    the computed axis is not exactly symmetric (h inexact in binary) the two
+    sides differ by an ulp of x, which moves a phase by about that ulp times
+    2 pi |xi|, the size of the rounding of its own argument."""
     nodes = np.asarray(nodes, dtype=float)
-    phase = np.exp(sign * 2j * np.pi * np.multiply.outer(nodes, grid.axis(axis)))
+    x = grid.axis(axis)
+    half = x.size // 2
+    phase = np.empty(nodes.shape + x.shape, dtype=np.complex128)
+    np.exp(sign * 2j * np.pi * np.multiply.outer(nodes, x[: half + 1]), out=phase[..., : half + 1])
+    np.conjugate(phase[..., half - 1 : 0 : -1], out=phase[..., half + 1 :])
     phase[np.abs(nodes) > grid.dual_half_extents[axis]] = 0.0
     return phase
 
@@ -343,12 +371,19 @@ def tensor_dft(f: SampledField, axis_nodes, sign: float = -1.0) -> np.ndarray:
     the sample array per leading node axis.  A node beyond its axis's dual
     half-extent contributes exactly 0 (``_axis_phase``'s mask): the grid
     cannot tell that frequency from its aliases.  ValueError unless there
-    is exactly one node list per grid axis.
+    is exactly one node list per grid axis, each 1-D and finite.
     """
     if f.has_group_axis:
         raise ValueError("tensor_dft applies to spatial-only fields")
     if len(axis_nodes) != f.grid.dim:
         raise ValueError(f"tensor_dft needs {f.grid.dim} node lists, got {len(axis_nodes)}")
+    axis_nodes = [np.asarray(nodes, dtype=float) for nodes in axis_nodes]
+    for i, nodes in enumerate(axis_nodes):
+        if nodes.ndim != 1 or not np.all(np.isfinite(nodes)):
+            raise ValueError(
+                f"tensor_dft nodes of axis {i} must be a 1-D list of finite numbers, "
+                f"got shape {nodes.shape}"
+            )
     T = f.values
     for i in range(f.grid.dim):
         # contract the current leading spatial axis; node axis lands at the end

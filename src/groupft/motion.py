@@ -19,22 +19,31 @@ and lambda sin g / 2 pi, which are 0 beyond the dual box (where they alias)
 as in every direct transform.  So ``mn_ft`` and the HS-profiles share one
 path that, per lambda, builds only those two small factors and contracts
 the theta-coefficient rows against them: one real matmul over z2, a
-reduction over z1 and one FFT over the circle grid; profiles stack the
-active rows of all their fields so the factors are built once per lambda.
+reduction over z1 and one small matmul with a fixed matrix that does the
+circle DFT; profiles stack the active rows of all their fields so the
+factors are built once per lambda.
 The circle grid is closed under g -> -g, and for even n_theta under
 g -> pi - g; the first negates sin and the second cos, and a negated node
 gives the conjugate phase.  So the factors are built, and both contractions
 run, at the angles in [0, pi/2] only (in [0, pi) for odd n_theta): with
 the rows split into real and imaginary parts, a conjugated factor
-conjugates the real product, so each such angle yields the four sums that
-the angles it stands for need.  For R rows on an N1 x N2 grid the z2
-matmul costs 4 R N1 N2 (n_theta // 4 + 1) real multiply-adds, against
-4 R N1 N2 n_theta when the complex rows meet every angle: 3.9x fewer at
-n_theta = 128.  The mirrored nodes come from the representative's cos and
-sin, which can differ from the angle's own by one ulp, and the real sums
-add in another order than complex ones: against the complex contraction
-over every gathered angle, the benchmark's 126 motion check numbers at
-seeds 0, 1 and 7 moved by at most 2.8e-16 relative (x86-64, numpy 2.4.6).
+conjugates the real product, so each such angle yields the four real sums
+that the angles it stands for need.  Every angle's circle-DFT input is a
+fixed complex combination of its representative's sums, so the reflection
+gather, the DFT over the circle grid and the window |m'| <= M fold into
+one real matrix, built once per call, over the offsets m' - m; no FFT
+runs.  For R rows on an N1 x N2 grid the z2 matmul costs
+4 R N1 N2 (n_theta // 4 + 1) real multiply-adds, against 4 R N1 N2 n_theta
+when the complex rows meet every angle: 3.9x fewer at n_theta = 128, and
+the folded DFT 16 R (n_theta // 4 + 1)(4 M + 1), small beside it.  The
+mirrored nodes come from the representative's cos and sin, which can
+differ from the angle's own by one ulp, and the real sums add in another
+order than complex ones: against the complex contraction over every
+gathered angle, the benchmark's 126 motion check numbers at seeds 0, 1
+and 7 moved by at most 2.8e-16 relative (x86-64, numpy 2.4.6).  The folded
+DFT sums each entry directly where an FFT factorises the sum: against an
+FFT over the gathered angles, the same 126 numbers moved by at most
+2.9e-16 relative, and 93 of them not at all.
 
 A ``MotionField`` holds the circle modes of f(z, theta_k) = sum_m c_m(z)
 e^{i m theta_k}: the signed m that carry mass and their planes c_m(z), one
@@ -285,14 +294,54 @@ def _circle_reflections(n_theta: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.where(conj1, n_theta // 2 - half, half), conj1, 2 * k > n_theta
 
 
+def _folded_circle_dft(n_theta: int, m_max: int, scale: float) -> np.ndarray:
+    """The real matrix that takes one row's z1 sums to its circle-DFT entries.
+
+    A row's sums are c[h, p, j, w]: row half h (Re or Im of c_m), Re or Im
+    of the z2 product P (p), representative angle j of
+    ``_circle_reflections`` and Re or Im of the z1 factor w1 (w), so
+    A_j = sum_z1 w1 P = sum_{p,w} i^p i^w c[., p, j, w] and
+    B_j = sum_z1 w1 conj(P) the same with (-i)^p.  Angle k takes A, B,
+    conj B or conj A of its representative (a negated sin conjugates P, a
+    negated cos conjugates w1), and each representative stands for at most
+    one angle of each kind.  The circle-DFT input of angle k is S_0 + i S_1
+    over the row halves, and the entry at offset t = m' - m is
+    scale sum_k e^{2 pi i k t / n_theta} (S_0 + i S_1)[k], the DFT at
+    q = m - m' = -t.  All of that is linear in the real c, so it is one
+    complex matrix G[(h, p, j, w), t] over the offsets |t| <= 2 m_max, and
+    its real and imaginary parts, interleaved per t, make c @ G the entries
+    as complex pairs.  Returns G viewed as real, shape
+    (8 reps, 2 (4 m_max + 1)).
+    """
+    rep, conj1, conj2 = _circle_reflections(n_theta)
+    reps = int(rep.max()) + 1
+    offsets = np.arange(-2 * m_max, 2 * m_max + 1)
+    # the angle that takes A, B, conj B or conj A of each representative, -1 for none
+    angle = np.full((reps, 4), -1)
+    angle[rep, 2 * conj1 + conj2] = np.arange(n_theta)
+    # e^{2 pi i k t / n_theta} from the exact residue of k t; entry n_theta is 0, for no angle
+    root = np.append(np.exp(2j * np.pi * np.arange(n_theta) / n_theta), 0.0)
+    residue = np.multiply.outer(angle, offsets) % n_theta
+    wave = root[np.where(angle[..., None] < 0, n_theta, residue)]
+    unit = np.array([1.0, 1j])
+    p_unit = np.array([unit, unit.conj(), unit, unit.conj()])  # i^p, conjugated with P
+    w_unit = np.array([unit, unit, unit.conj(), unit.conj()])  # i^w, conjugated with w1
+    g = np.empty((2, 2, reps, 2, offsets.size), dtype=np.complex128)  # (h, p, j, w, t)
+    np.einsum("jat,ap,aw->pjwt", wave, p_unit, w_unit, out=g[0])
+    g[0] *= scale
+    np.multiply(g[0], 1j, out=g[1])
+    return g.reshape(8 * reps, offsets.size).view(np.float64)
+
+
 def _operator_rows(
-    grid: Grid, n_theta: int, coef: np.ndarray, rows: np.ndarray, lambdas, m_max: int
+    grid: Grid, n_theta: int, planes, rows: np.ndarray, lambdas, m_max: int
 ) -> np.ndarray:
     """Matrix rows F[m, :] at every lambda for a stack of (field, m) rows.
 
-    ``coef`` holds the theta coefficient c_m(z) of each stacked row, shape
-    (R, N1, N2), and ``rows`` its value of m.  Returns out[l, r, m'] =
-    D_r(lambda_l)[m - m'] with
+    ``planes`` holds the theta coefficients c_m(z) of the stacked rows as
+    blocks of shape (N1, N2, R_i), one per field, and ``rows`` their values
+    of m in order, |m| <= m_max.  Returns
+    out[l, r, m'] = D_r(lambda_l)[m - m'] with
 
         D_r[q] = h^2/n_theta sum_j exp(-i q g_j) sum_z c_m(z)
                  exp(-i lambda z1 cos g_j) exp(i lambda z2 sin g_j),
@@ -305,66 +354,71 @@ def _operator_rows(
     0 beyond the dual box, built at the representative angles of
     ``_circle_reflections`` only: 0..n_theta // 4 for even n_theta,
     0..n_theta // 2 for odd, so reps = n_theta // 4 + 1 angles and
-    reps (N1 + N2) complex exponentials per lambda for even n_theta.
+    reps (N1 + N2) complex exponentials per lambda for even n_theta, half
+    of them through ``_axis_phase``'s conjugate copies.
 
     The rows are split into one real array X = [Re c; Im c], shape
-    (2R N1, N2), and one real GEMM P = X [Re w2 | Im w2]^T over z2 takes
-    2 reps columns (66 at n_theta = 128).  X is real, so the negated sin
-    node of g -> -g gives conj(P).  Per representative the z1 reduction
-    forms A = sum_z1 w1 P and B = sum_z1 w1 conj(P) from four real
-    contractions (Re or Im of w1 against Re or Im of P: CR, CI, SR, SI);
-    the negated cos node of g -> pi - g conjugates w1, so each angle takes
-    A, B, conj B or conj A, at index rep + reps (2 conj1 + conj2).  A
-    negated node gives exactly the conjugate phase, and the dual-box mask
-    is symmetric in the node.  The circle DFT then runs on S(Re c) +
-    i S(Im c), S the gathered sums of each real part.
+    (2R N1, N2), written from the blocks straight into the C-ordered X^T
+    that the GEMM reads, and one real GEMM P = X [Re w2 | Im w2]^T over
+    z2 takes 2 reps columns (66 at n_theta = 128).  X is real, so the negated sin
+    node of g -> -g gives conj(P), and the negated cos node of g -> pi - g
+    conjugates w1: a negated node gives exactly the conjugate phase, and
+    the dual-box mask is symmetric in the node.  Per representative the z1
+    reduction makes four real sums (Re or Im of w1 against Re or Im of P),
+    from which every angle's circle-DFT input is a fixed complex
+    combination.  So the reflection gather, the circle DFT and the window
+    |m'| <= m_max are one fixed real matrix (``_folded_circle_dft``) over
+    the offsets m' - m in [-2 m_max, 2 m_max], built once per call; each
+    lambda ends in one (R, 8 reps) x (8 reps, 2 (4 m_max + 1)) matmul, and
+    one gather after the loop picks each row's 2 m_max + 1 offsets.
 
-    For R rows the z2 GEMM costs 4 R N1 N2 reps real multiply-adds and the
-    z1 reduction 8 R N1 reps, against 4 R N1 N2 n_theta and 4 R N1 n_theta
-    when the complex rows meet all n_theta gathered columns: 3.9x and 1.9x
-    fewer at n_theta = 128, about 2x and 1x for odd n_theta.
+    For R rows the z2 GEMM costs 4 R N1 N2 reps real multiply-adds, the z1
+    reduction 8 R N1 reps and the folded DFT 16 R reps (4 m_max + 1),
+    against 4 R N1 N2 n_theta and 4 R N1 n_theta when the complex rows meet
+    all n_theta gathered columns, and an n_theta-point FFT per row.
     """
-    rep, conj1, conj2 = _circle_reflections(n_theta)
+    rep, _, _ = _circle_reflections(n_theta)
     reps = int(rep.max()) + 1
     gam = 2.0 * np.pi * np.arange(reps) / n_theta
     cos, sin = np.cos(gam), np.sin(gam)
-    take = rep + reps * (2 * conj1 + conj2)  # columns of (A, B, conj B, conj A)
     n1, n2 = grid.counts
-    # X^T as a C-ordered copy: numpy's matmul against the transposed view is ~60x slower
-    xt = np.concatenate((coef.real, coef.imag)).reshape(-1, n2).T.copy()
-    cols = np.arange(-m_max, m_max + 1)
-    q = (rows[:, None] - cols[None, :]) % n_theta  # F[m, m'] = D[m - m']
-    out = np.empty((len(lambdas), rows.size, cols.size), dtype=np.complex128)
+    r = rows.size
+    # X^T, columns (Re|Im, row, z1): numpy's matmul against a transposed view of X
+    # is ~60x slower, and stacking the blocks first would hold another copy of the rows
+    xt = np.empty((n2, 2, r, n1))
+    for part, take in enumerate((np.real, np.imag)):
+        np.concatenate([take(b).transpose(1, 2, 0) for b in planes], axis=1, out=xt[:, part])
+    xt = xt.reshape(n2, 2 * r * n1)
+    dft = _folded_circle_dft(n_theta, m_max, grid.cell_volume / n_theta)
+    sums = np.empty((len(lambdas), r, dft.shape[1]))
     for i, lam in enumerate(lambdas):
         w1 = _axis_phase(grid, 0, lam * cos / (2.0 * np.pi), -1.0)
         w2 = _axis_phase(grid, 1, lam * sin / (2.0 * np.pi), +1.0)
-        p = (np.concatenate((w2.real, w2.imag)) @ xt).reshape(2, reps, 2 * rows.size, n1)
+        p = (np.concatenate((w2.real, w2.imag)) @ xt).reshape(2, reps, 2 * r, n1)
         # (Re|Im P, representative, X row, Re|Im w1), one small matmul per representative
-        c = p @ w1.view(np.float64).reshape(reps, n1, 2)
-        cr, ci, sr, si = c[0, ..., 0], c[1, ..., 0], c[0, ..., 1], c[1, ..., 1]
-        a = (cr - si) + 1j * (ci + sr)
-        b = (cr + si) + 1j * (sr - ci)
-        s = np.concatenate((a, b, b.conj(), a.conj())).T  # (2R, 4 reps)
-        d = np.fft.fft(s[: rows.size, take] + 1j * s[rows.size :, take], axis=-1)
-        out[i] = np.take_along_axis(d, q, axis=1)
-    return out * (grid.cell_volume / n_theta)
+        c = (p @ w1.view(np.float64).reshape(reps, n1, 2)).reshape(2, reps, 2, r, 2)
+        np.matmul(c.transpose(3, 2, 0, 1, 4).reshape(r, 8 * reps), dft, out=sums[i])
+    # row r reads offsets m' - m_r + 2 m_max, m' = -m_max..m_max
+    offset = np.arange(2 * m_max + 1)[None, :] - rows[:, None] + m_max
+    return sums.view(np.complex128)[:, np.arange(r)[:, None], offset]
 
 
 def _rows(f: MotionField, m_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m, c_m(z) stacked first) for the held modes |m| <= m_max."""
+    """(m, c_m(z) over the last axis) for the held modes |m| <= m_max: the modes
+    ascend, so they are one slice and the planes a view of the field's own."""
     if f.planes is None:
-        return f.modes, np.zeros((0,) + f.grid.counts, dtype=np.complex128)
-    kept = np.abs(f.modes) <= m_max
-    return f.modes[kept], np.moveaxis(f.planes.values[..., kept], -1, 0)
+        return f.modes, np.zeros(f.grid.counts + (0,), dtype=np.complex128)
+    lo, hi = np.searchsorted(f.modes, -m_max), np.searchsorted(f.modes, m_max, side="right")
+    return f.modes[lo:hi], f.planes.values[..., lo:hi]
 
 
 def mn_ft(f: MotionField, lam: float, m_max: int) -> OperatorMatrix:
     """Transform operator at one lambda, |m|, |m'| <= m_max; rows of modes not held are 0."""
     _require_positive("lambda", lam)
     _check_truncation(f, m_max)
-    rows, coef = _rows(f, m_max)
+    rows, planes = _rows(f, m_max)
     mat = np.zeros((2 * m_max + 1, 2 * m_max + 1), dtype=np.complex128)
-    mat[rows + m_max] = _operator_rows(f.grid, f.theta_count, coef, rows, [lam], m_max)[0]
+    mat[rows + m_max] = _operator_rows(f.grid, f.theta_count, [planes], rows, [lam], m_max)[0]
     return OperatorMatrix(lam, m_max, mat)
 
 
@@ -394,9 +448,9 @@ def _hs_profiles(fields: list, lambdas, m_max: int) -> np.ndarray:
                 f"fields[0] on {grid} x {n_theta}"
             )
         _check_truncation(f, m_max)
-    rowsets, coefs = zip(*(_rows(f, m_max) for f in fields))
+    rowsets, planes = zip(*(_rows(f, m_max) for f in fields))
     rows = np.concatenate(rowsets)
-    mats = _operator_rows(grid, n_theta, np.concatenate(coefs), rows, lambdas, m_max)
+    mats = _operator_rows(grid, n_theta, planes, rows, lambdas, m_max)
     hs = np.sum(np.abs(mats) ** 2, axis=2)  # (lambdas, stacked rows)
     owner = np.repeat(np.arange(len(fields)), [r.size for r in rowsets])
     return (owner == np.arange(len(fields))[:, None]) @ hs.T

@@ -175,6 +175,34 @@ def brute_force_motion_ft(values, z1, z2, lam, m_max):
     return out
 
 
+def circle_mode_motion_ft(modes, planes, z1, z2, lam, m_max, n_theta):
+    """Truncated motion-group transform F[m, m'] of a field held as its circle
+    modes (planes[..., j] = c_{modes[j]}), term by term.
+
+    Per held mode |m| <= m_max and angle g_k = 2 pi k / n_theta the plane
+    wave is summed against the plane, S[m, k] = h^2 sum_z c_m(z)
+    plane_wave(lam, z1, z2, g_k), and a plain circle DFT, an explicit sum
+    over k, gives F[m, m'] = sum_k e^{-i (m - m') g_k} S[m, k] / n_theta: no
+    FFT, no factorisation of the wave and no reflection table.  An angle
+    whose wave has a frequency beyond the Nyquist frequency 1 / (2 h) of
+    either axis contributes 0, as the grid cannot tell it from its aliases.
+    Rows of modes not held are 0.
+    """
+    gam = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    wave = plane_wave(lam, z1[:, None, None], z2[None, :, None], gam)
+    for z, trig in ((z1, np.cos), (z2, np.sin)):
+        wave = np.where(abs(lam * trig(gam)) / (2.0 * np.pi) > 0.5 / (z[1] - z[0]), 0.0, wave)
+    h2 = (z1[1] - z1[0]) * (z2[1] - z2[0])
+    out = np.zeros((2 * m_max + 1, 2 * m_max + 1), dtype=complex)
+    for j, m in enumerate(modes):
+        if abs(m) > m_max:
+            continue
+        s = h2 * np.sum(planes[..., j, None] * wave, axis=(0, 1))
+        for c, mp in enumerate(range(-m_max, m_max + 1)):
+            out[m + m_max, c] = np.sum(np.exp(-1j * (m - mp) * gam) * s) / n_theta
+    return out
+
+
 def brute_force_tail_fraction(values, half_extents, weights, lam_max):
     """Spectral mass at radii |xi| > lam_max / (2 pi) by explicit per-slice DFTs.
 

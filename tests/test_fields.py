@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from groupft.errors import AliasingError
-from groupft.fields import _legendre
+from groupft.fields import _axis_phase, _legendre
 from groupft.fields import test_corpus as corpus
 from groupft.fields import (
     Grid,
@@ -198,8 +198,9 @@ class TestTransformOracle:
 
 
 class TestInPlaceTransform:
-    """The centred FFT runs in place on its own rolled copy: the same bits as
-    the out-of-place roll-transform-roll, and the input field untouched."""
+    """The centred FFT and its second roll, as orthant swaps, run in place on
+    its own rolled copy: the same bits as the out-of-place roll-transform-roll,
+    and the input field untouched."""
 
     CASES = [
         ((1024,), (8.0,), None),
@@ -208,11 +209,14 @@ class TestInPlaceTransform:
         ((6,), (3.0,), None),
         ((10,), (2.5,), None),
         ((16, 16), (3.0, 2.0), 5),
+        ((2, 6, 4), (1.0, 2.0, 3.0), 3),
     ]
 
     @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
     @pytest.mark.parametrize(
-        "counts, extents, k", CASES, ids=["1024", "64x64", "16x16x16", "6", "10", "16x16x5"]
+        "counts, extents, k",
+        CASES,
+        ids=["1024", "64x64", "16x16x16", "6", "10", "16x16x5", "2x6x4x3"],
     )
     def test_bit_identical_and_input_untouched(self, counts, extents, k, inverse):
         grid = make_grid(len(counts), extents, counts)
@@ -307,6 +311,16 @@ class TestNudft:
         with pytest.raises(ValueError, match=f"needs 2 node lists, got {lists}"):
             tensor_dft(f, [np.linspace(-1.0, 1.0, 5)] * lists)
 
+    @pytest.mark.parametrize(
+        "bad", [[[0.1, 0.2], [0.3, 0.4]], 0.5, [0.1, np.nan], [np.inf, 0.2]],
+        ids=["2-D", "scalar", "nan", "inf"],
+    )
+    def test_tensor_dft_rejects_a_node_list_that_is_not_1d_and_finite(self, bad):
+        # a NaN node gave NaN with a RuntimeWarning, a 2-D list numpy's bare shape error
+        f = gaussian_packet(make_grid(2, [4.0, 4.0], [16, 16]))
+        with pytest.raises(ValueError, match="nodes of axis 1 must be a 1-D list of finite"):
+            tensor_dft(f, [np.linspace(-1.0, 1.0, 5), bad])
+
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_tensor_dft_masks_beyond_dual_box(self, sign):
         """Exactly 0 at a node beyond either axis's dual half-extent (W = 2),
@@ -323,6 +337,40 @@ class TestNudft:
                 want = direct_transform(f.values, g.axes(), g.cell_volume, (a, b), sign)
                 assert abs(block[j, k] - want) <= 1e-12 * np.abs(f.values).sum() * g.cell_volume
         assert np.count_nonzero(block) == 2 * 3
+
+
+class TestAxisPhase:
+    """_axis_phase runs exp on half the axis and conjugates the other half."""
+
+    @pytest.mark.parametrize("shape", [(9,), (3, 4)], ids=["1-D", "2-D"])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize(
+        "count, extent", [(64, 6.0), (48, 5.0)], ids=["symmetric", "inexact"]
+    )
+    def test_equals_the_full_exponential(self, count, extent, sign, shape):
+        # h = 12/64 is exact in binary and x_{N/2+k} = -x_{N/2-k}; h = 10/48 is
+        # not, and the two sides differ by an ulp of x
+        grid = make_grid(2, [3.0, extent], [16, count])
+        w = grid.dual_half_extents[1]
+        nodes = np.random.default_rng(3).uniform(-1.3 * w, 1.3 * w, shape)
+        nodes.flat[0] = w  # on the edge of the dual box: kept
+        masked = np.abs(nodes) > w
+        assert masked.any() and not masked.all()
+        got = _axis_phase(grid, 1, nodes, sign)
+        x = grid.axis(1)
+        want = np.exp(sign * 2j * np.pi * np.multiply.outer(nodes, x))
+        assert got.shape == shape + (count,)
+        assert np.all(got[masked] == 0.0)
+        half = count // 2 + 1
+        assert np.array_equal(got[~masked][:, :half], want[~masked][:, :half])
+        gap = np.abs(got[~masked] - want[~masked])
+        mirrored = x[half:] == -x[half - 2 : 0 : -1]
+        if count == 64:
+            assert np.all(mirrored) and np.all(gap == 0.0)
+        else:
+            # within 1e-15 of the argument 2 pi |xi| L, whose own rounding is that size
+            arg = 2.0 * np.pi * np.abs(nodes[~masked]) * extent
+            assert not np.all(mirrored) and np.all(gap <= 1e-15 * arg[:, None])
 
 
 class TestSpectralPartial:

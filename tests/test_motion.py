@@ -37,6 +37,7 @@ from .oracles import (
     brute_force_motion_ft,
     brute_force_tail_fraction,
     circle_average_transform_sq,
+    circle_mode_motion_ft,
     circle_samples,
     plane_wave,
 )
@@ -131,6 +132,26 @@ class TestKernel:
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         got = mn_ft(motion_field(small, vals), lam, 3).matrix
         want = brute_force_motion_ft(vals, small.axis(0), small.axis(1), lam, 3)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("lam", [2.3, 10.0, "zero"])
+    @pytest.mark.parametrize("n_theta", [128, 45, 66])
+    def test_matrix_vs_circle_modes_term_by_term(self, n_theta, lam):
+        # M as large as n_theta allows, rows at -M and M, one held mode beyond M
+        # (every offset m - m' aliases), and at lambda = 10 some angles masked
+        small = make_grid(2, [3.0, 3.0], [16, 16])
+        m_max = (n_theta - 2) // 2
+        if lam == "zero":
+            f = MotionField(small, n_theta, np.zeros(0, dtype=int), None)
+            assert np.all(mn_ft(f, 1.0, m_max).matrix == 0)
+            return
+        modes = np.array([-(n_theta // 2), -m_max, -1, 0, 3, m_max])
+        rng = np.random.default_rng(4)
+        shape = small.counts + (modes.size,)
+        planes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = MotionField(small, n_theta, modes, SampledField(small, planes, np.ones(modes.size)))
+        got = mn_ft(f, lam, m_max).matrix
+        want = circle_mode_motion_ft(modes, planes, *small.axes(), lam, m_max, n_theta)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_a_faint_mode_is_kept_and_transformed(self, grid):
@@ -765,8 +786,8 @@ class TestFieldMemo:
         assert calls == {"mn_spectral_tail_fraction": tails, "mn_hs_profile": profiles}
 
     def test_no_check_does_a_circle_dft(self, monkeypatch):
-        # the corpus is built as planes and every check reads them: the only 1-D
-        # FFTs are the per-lambda ones over plane-wave rows, shape (rows, n_theta)
+        # the corpus is built as planes and every check reads them: no 1-D FFT
+        # runs over the samples, shape grid.counts + (n_theta,)
         lg, fft, shapes = self.SMALL_LGRID, np.fft.fft, []
 
         def recording_fft(a, *args, **kwargs):
@@ -783,7 +804,7 @@ class TestFieldMemo:
         mn_plancherel_ratio(f, lg, 8)
         for spec in LATTICE:
             mn_uncertainty(f, spec, lg, 8)
-        assert shapes and all(len(shape) == 2 and shape[1] == 32 for shape in shapes)
+        assert self.SMALL.counts + (32,) not in shapes
 
     @pytest.mark.parametrize("member", [0, 1, 2, 3, "beyond-M"])
     def test_circle_modes_have_the_norm_and_position_moments(self, grid, corpus, member):
